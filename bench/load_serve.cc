@@ -305,8 +305,9 @@ int main(int argc, char** argv) {
   sentinel::bench::MetricsSession session(argc, argv);
   sentinel::bench::Header(
       "Serving-path load: adaptive micro-batching vs per-call over HTTP",
-      "the always-on service batches concurrent probes through the batch "
-      "fast path; per-call serving pays the full bank scan per request");
+      "the always-on service batches concurrent probes through the "
+      "identification kernel; per-call serving pays the full bank scan per "
+      "request");
 
   const std::size_t bank_types = 31;
   const auto train_base =

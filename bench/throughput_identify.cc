@@ -1,20 +1,22 @@
-// Identification fast-path throughput: reference scan vs the
-// arena-compiled bank, single- and multi-threaded, per-call and batched,
-// across bank sizes from 8 to 128 device-types. Every fast-path verdict is
-// asserted equal to the reference verdict before anything is timed, so the
-// numbers can only come from an equivalent implementation.
+// Identification throughput: the IdentifyReference oracle vs the kernel
+// per call under each Provenance (exact, bounds) and batched on 1 and 8
+// threads, across bank sizes from 8 to 128 device-types. Every kernel
+// verdict is asserted equal to the reference verdict before anything is
+// timed, so the numbers can only come from an equivalent implementation.
 //
-//   throughput_identify [--quick] [--json <path>]
+//   throughput_identify [--quick] [--json <path>] [--commit <id>]
 //
 // --quick shrinks bank sizes and repetitions for the CI smoke job; --json
 // writes the machine-readable baseline (scripts/bench_baseline.sh commits
-// it as BENCH_identify.json).
+// it as BENCH_identify.json) with the build environment and the --commit
+// id recorded in it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,6 +34,7 @@ using Clock = std::chrono::steady_clock;
 using sentinel::core::DeviceIdentifier;
 using sentinel::core::IdentificationResult;
 using sentinel::core::LabelledFingerprint;
+using sentinel::core::Provenance;
 
 /// Widens the 27-type catalog dataset to `type_count` synthetic types:
 /// each extra type clones a catalog type's episodes with every packet size
@@ -109,30 +112,44 @@ struct BankNumbers {
   std::size_t types = 0;
   std::size_t probes = 0;
   double reference_1t = 0.0;
-  double fast_1t = 0.0;
-  double fast_early_exit_1t = 0.0;
-  double fast_8t = 0.0;
+  double exact_1t = 0.0;
+  double bounds_1t = 0.0;
   double batch_1t = 0.0;
   double batch_8t = 0.0;
 };
+
+#ifndef SENTINEL_BUILD_TYPE
+#define SENTINEL_BUILD_TYPE ""
+#endif
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
+  std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[i + 1];
+    if (std::strcmp(argv[i], "--commit") == 0 && i + 1 < argc)
+      commit = argv[i + 1];
   }
 
   sentinel::bench::MetricsSession session(argc, argv);
 
   sentinel::bench::Header(
-      "Identification throughput: reference vs compiled fast path",
+      "Identification throughput: reference vs the identification kernel",
       "Sect. VII reports identification cost dominated by the classifier "
-      "bank scan; the fast path flattens it into cache-linear arenas");
+      "bank scan; the kernel flattens it into cache-linear arenas");
 
   const std::vector<std::size_t> bank_sizes =
       quick ? std::vector<std::size_t>{8, 31}
@@ -149,9 +166,9 @@ int main(int argc, char** argv) {
   sentinel::util::ThreadPool pool(8);
   std::vector<BankNumbers> rows;
 
-  std::printf("%6s %7s %14s %14s %14s %14s %14s %14s %9s\n", "types",
-              "probes", "ref 1t id/s", "fast 1t id/s", "early 1t id/s",
-              "fast 8t id/s", "batch 1t id/s", "batch 8t id/s", "speedup");
+  std::printf("%6s %7s %14s %14s %14s %14s %14s %9s\n", "types", "probes",
+              "ref 1t id/s", "exact 1t id/s", "bounds 1t id/s",
+              "batch 1t id/s", "batch 8t id/s", "speedup");
   for (const std::size_t types : bank_sizes) {
     const auto train = Widen(train_base, types);
     const auto probes = Widen(probe_base, types);
@@ -167,27 +184,21 @@ int main(int argc, char** argv) {
 
     // Reference verdicts once, then assert every mode against them before
     // any timing.
-    identifier.set_fast_path(false);
     std::vector<IdentificationResult> expected;
     expected.reserve(probes.size());
     for (std::size_t i = 0; i < probes.size(); ++i)
-      expected.push_back(
-          identifier.Identify(probes.fingerprints[i], probes.fixed[i]));
-    identifier.set_fast_path(true);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      CheckEquivalent(
-          identifier.Identify(probes.fingerprints[i], probes.fixed[i]),
-          expected[i], "fast");
-    }
-    identifier.set_bank_early_exit(true);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      CheckEquivalent(
-          identifier.Identify(probes.fingerprints[i], probes.fixed[i]),
-          expected[i], "fast+early-exit");
-    }
-    identifier.set_bank_early_exit(false);
-    {
-      const auto batch = identifier.IdentifyBatch(refs);
+      expected.push_back(identifier.IdentifyReference(probes.fingerprints[i],
+                                                      probes.fixed[i]));
+    for (const auto provenance :
+         {Provenance::kExact, Provenance::kCertifiedBounds}) {
+      const char* mode =
+          provenance == Provenance::kExact ? "exact" : "bounds";
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        CheckEquivalent(identifier.Identify(probes.fingerprints[i],
+                                            probes.fixed[i], provenance),
+                        expected[i], mode);
+      }
+      const auto batch = identifier.IdentifyBatch(refs, provenance);
       for (std::size_t i = 0; i < probes.size(); ++i)
         CheckEquivalent(batch[i], expected[i], "batch");
     }
@@ -195,29 +206,34 @@ int main(int argc, char** argv) {
     BankNumbers row;
     row.types = types;
     row.probes = probes.size();
-    const auto run_per_call = [&] {
+    const auto run_reference = [&] {
       for (std::size_t i = 0; i < probes.size(); ++i)
-        (void)identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
+        (void)identifier.IdentifyReference(probes.fingerprints[i],
+                                           probes.fixed[i]);
+    };
+    const auto run_per_call = [&](Provenance provenance) {
+      return [&identifier, &probes, provenance] {
+        for (std::size_t i = 0; i < probes.size(); ++i)
+          (void)identifier.Identify(probes.fingerprints[i], probes.fixed[i],
+                                    provenance);
+      };
     };
     const auto run_batch = [&] { (void)identifier.IdentifyBatch(refs); };
 
-    identifier.set_fast_path(false);
-    row.reference_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_fast_path(true);
-    row.fast_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_bank_early_exit(true);
-    row.fast_early_exit_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_bank_early_exit(false);
+    row.reference_1t = MeasureIps(reps, probes.size(), run_reference);
+    row.exact_1t =
+        MeasureIps(reps, probes.size(), run_per_call(Provenance::kExact));
+    row.bounds_1t = MeasureIps(reps, probes.size(),
+                               run_per_call(Provenance::kCertifiedBounds));
     row.batch_1t = MeasureIps(reps, probes.size(), run_batch);
     identifier.set_thread_pool(&pool);
-    row.fast_8t = MeasureIps(reps, probes.size(), run_per_call);
     row.batch_8t = MeasureIps(reps, probes.size(), run_batch);
     identifier.set_thread_pool(nullptr);
 
-    std::printf("%6zu %7zu %14.0f %14.0f %14.0f %14.0f %14.0f %14.0f %8.2fx\n",
-                row.types, row.probes, row.reference_1t, row.fast_1t,
-                row.fast_early_exit_1t, row.fast_8t, row.batch_1t,
-                row.batch_8t, row.fast_1t / row.reference_1t);
+    std::printf("%6zu %7zu %14.0f %14.0f %14.0f %14.0f %14.0f %8.2fx\n",
+                row.types, row.probes, row.reference_1t, row.exact_1t,
+                row.bounds_1t, row.batch_1t, row.batch_8t,
+                row.exact_1t / row.reference_1t);
     rows.push_back(row);
   }
 
@@ -357,20 +373,21 @@ int main(int argc, char** argv) {
         << "% single-probe throughput (budget: 2%)";
   }
 
-  // Multithreaded-dispatch guard: on this container nproc is 1, so the
-  // 8-thread per-call mode cannot beat single-threaded — every fan-out
-  // buys zero parallelism and pays wake-ups and context switches. That
-  // fast_8t <= fast_1t at 16-128 types is therefore *expected* here, not
-  // a regression; what must hold is that the dispatch machinery's tax is
-  // bounded. Same paired-slice-median protocol as the overhead gates
-  // above: each pair times pooled and unpooled back to back in
-  // alternating order, and the median per-pair ratio discards pairs hit
-  // by preemption or frequency drift.
+  // Multithreaded-dispatch guard: a batch fans out over the pool (stage 1
+  // by type, stage 2 by probe), so pooled dispatch must never cost most of
+  // the batch's throughput, whatever the host's core count. Same
+  // paired-slice-median protocol as the overhead gates above: each pair
+  // times pooled and unpooled back to back in alternating order, and the
+  // median per-pair ratio discards pairs hit by preemption or frequency
+  // drift.
   double mt_1t_ips = 0.0;
   double mt_8t_ips = 0.0;
   {
     const auto train = Widen(train_base, 31);
     const auto probes = Widen(probe_base, 31);
+    std::vector<DeviceIdentifier::FingerprintRef> refs;
+    for (std::size_t i = 0; i < probes.size(); ++i)
+      refs.push_back({&probes.fingerprints[i], &probes.fixed[i]});
     DeviceIdentifier identifier;
     identifier.set_thread_pool(&pool);
     identifier.Train(ToExamples(train));
@@ -378,8 +395,7 @@ int main(int argc, char** argv) {
     const std::size_t loops = 4;
     const auto run_looped = [&] {
       for (std::size_t l = 0; l < loops; ++l)
-        for (std::size_t i = 0; i < probes.size(); ++i)
-          (void)identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
+        (void)identifier.IdentifyBatch(refs);
     };
     std::vector<double> ratios;  // pooled time / unpooled time
     std::vector<double> unpooled_secs;
@@ -412,14 +428,15 @@ int main(int argc, char** argv) {
                                                   unpooled_secs.end());
     mt_8t_ips = mt_1t_ips / median_ratio;
     std::printf(
-        "mt dispatch (31 types): 1t %.0f id/s, 8t %.0f id/s, 8t/1t %.2fx "
-        "(single-core host: <= 1.0x expected)\n",
-        mt_1t_ips, mt_8t_ips, mt_8t_ips / mt_1t_ips);
-    // One-sided floor only: 8t may lose to 1t on one core, but if pooled
-    // dispatch costs more than ~60% of throughput the fan-out path itself
-    // has regressed (oversized tasks, lock churn, lost wakeups).
+        "mt dispatch (31 types, batch of %zu): 1t %.0f id/s, 8t %.0f id/s, "
+        "8t/1t %.2fx on %u cores\n",
+        probes.size(), mt_1t_ips, mt_8t_ips, mt_8t_ips / mt_1t_ips,
+        std::thread::hardware_concurrency());
+    // One-sided floor only: on a single core 8t may lose to 1t, but if
+    // pooled dispatch costs more than ~60% of throughput the fan-out path
+    // itself has regressed (oversized tasks, lock churn, lost wakeups).
     SENTINEL_CHECK(mt_8t_ips >= 0.4 * mt_1t_ips)
-        << "pooled per-call dispatch at " << mt_8t_ips / mt_1t_ips
+        << "pooled batch dispatch at " << mt_8t_ips / mt_1t_ips
         << "x single-threaded (floor: 0.4x)";
   }
 
@@ -427,6 +444,11 @@ int main(int argc, char** argv) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     SENTINEL_CHECK(f != nullptr) << "cannot write " << json_path;
     std::fprintf(f, "{\n  \"bench\": \"throughput_identify\",\n");
+    std::fprintf(f,
+                 "  \"env\": {\"cores\": %u, \"build_type\": \"%s\", "
+                 "\"compiler\": \"%s\", \"commit\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(), SENTINEL_BUILD_TYPE,
+                 kCompiler, commit.c_str());
     std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "  \"unit\": \"identifications_per_second\",\n");
     std::fprintf(f, "  \"banks\": [\n");
@@ -435,12 +457,11 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"types\": %zu, \"probes\": %zu, \"reference_1t\": %.1f, "
-          "\"fast_1t\": %.1f, \"fast_early_exit_1t\": %.1f, "
-          "\"fast_8t\": %.1f, \"batch_1t\": %.1f, \"batch_8t\": %.1f, "
-          "\"speedup_fast_1t\": %.2f}%s\n",
-          row.types, row.probes, row.reference_1t, row.fast_1t,
-          row.fast_early_exit_1t, row.fast_8t, row.batch_1t, row.batch_8t,
-          row.fast_1t / row.reference_1t, r + 1 < rows.size() ? "," : "");
+          "\"exact_1t\": %.1f, \"bounds_1t\": %.1f, \"batch_1t\": %.1f, "
+          "\"batch_8t\": %.1f, \"speedup_exact_1t\": %.2f}%s\n",
+          row.types, row.probes, row.reference_1t, row.exact_1t,
+          row.bounds_1t, row.batch_1t, row.batch_8t,
+          row.exact_1t / row.reference_1t, r + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(
@@ -457,11 +478,10 @@ int main(int argc, char** argv) {
         100.0 * (1.0 - profiler_on_ips / profiler_off_ips));
     std::fprintf(
         f,
-        "  \"mt_dispatch\": {\"types\": 31, \"fast_1t\": %.1f, "
-        "\"fast_8t\": %.1f, \"ratio_8t_over_1t\": %.2f, \"floor\": 0.4, "
-        "\"note\": \"single-core container: pooled fan-out buys no "
-        "parallelism, so 8t <= 1t is expected; the floor bounds dispatch "
-        "overhead, not speedup\"},\n",
+        "  \"mt_dispatch\": {\"types\": 31, \"mode\": \"batch\", "
+        "\"batch_1t\": %.1f, \"batch_8t\": %.1f, \"ratio_8t_over_1t\": %.2f, "
+        "\"floor\": 0.4, \"note\": \"the floor bounds dispatch overhead; "
+        "speedup depends on env.cores\"},\n",
         mt_1t_ips, mt_8t_ips, mt_8t_ips / mt_1t_ips);
     std::fprintf(f, "  \"observability\": %s\n",
                  session.ObservabilityJson().c_str());

@@ -14,4 +14,6 @@ done
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-bench -j --target throughput_identify
-./build-bench/bench/throughput_identify ${QUICK} --json BENCH_identify.json
+COMMIT="$(git describe --always --dirty 2>/dev/null || echo unknown)"
+./build-bench/bench/throughput_identify ${QUICK} --json BENCH_identify.json \
+  --commit "${COMMIT}"

@@ -134,43 +134,26 @@ void DeviceIdentifier::TrainOne(
   entry.references.clear();
   entry.references.reserve(positives.size());
   for (const auto& example : positives) entry.references.push_back(*example.full);
-  CompileEntry(entry);
-}
-
-void DeviceIdentifier::CompileEntry(PerType& entry) {
   entry.flat = ml::FlatForest::Compile(entry.classifier);
-  // Pre-intern the discrimination references against a per-type table so
-  // identification only interns the probe (a read-only lookup) per
-  // candidate; id equality against these sequences is still equivalent to
-  // packet equality, so every edit distance is unchanged.
-  entry.reference_table.Clear();
-  entry.reference_ids.assign(entry.references.size(), {});
-  for (std::size_t i = 0; i < entry.references.size(); ++i) {
-    entry.reference_table.Intern(entry.references[i].packets(),
-                                 entry.reference_ids[i]);
-  }
-  // Index the frozen table so probe interning is one expected-O(1) probe
-  // per packet instead of a linear scan.
-  entry.reference_table.Freeze();
 }
 
-void DeviceIdentifier::CompileServeIndex() {
-  serve_.table.Clear();
-  serve_.reference_ids.assign(types_.size(), {});
-  serve_.reference_bags.assign(types_.size(), {});
+void DeviceIdentifier::CompileReferenceIndex() {
+  index_.table.Clear();
+  index_.reference_ids.assign(types_.size(), {});
+  index_.reference_bags.assign(types_.size(), {});
   for (std::size_t k = 0; k < types_.size(); ++k) {
-    auto& ids = serve_.reference_ids[k];
+    auto& ids = index_.reference_ids[k];
     ids.assign(types_[k].references.size(), {});
     for (std::size_t i = 0; i < types_[k].references.size(); ++i) {
-      serve_.table.Intern(types_[k].references[i].packets(), ids[i]);
+      index_.table.Intern(types_[k].references[i].packets(), ids[i]);
     }
   }
-  serve_.table.Freeze();
+  index_.table.Freeze();
   for (std::size_t k = 0; k < types_.size(); ++k) {
-    auto& bags = serve_.reference_bags[k];
-    bags.assign(serve_.reference_ids[k].size(), {});
-    for (std::size_t i = 0; i < serve_.reference_ids[k].size(); ++i) {
-      auto sorted = serve_.reference_ids[k][i];
+    auto& bags = index_.reference_bags[k];
+    bags.assign(index_.reference_ids[k].size(), {});
+    for (std::size_t i = 0; i < index_.reference_ids[k].size(); ++i) {
+      auto sorted = index_.reference_ids[k][i];
       std::sort(sorted.begin(), sorted.end());
       auto& bag = bags[i];
       for (std::size_t j = 0; j < sorted.size();) {
@@ -239,7 +222,7 @@ void DeviceIdentifier::Train(const std::vector<LabelledFingerprint>& examples) {
   });
   labels_ = std::move(ordered_labels);
   RebuildLabelIndex();
-  CompileServeIndex();
+  CompileReferenceIndex();
   if (handles_.types != nullptr)
     handles_.types->Set(static_cast<double>(types_.size()));
   if (quality_ != nullptr) quality_->BindTypes(labels_);
@@ -278,7 +261,7 @@ void DeviceIdentifier::AddType(
   types_.push_back(std::move(entry));
   labels_.push_back(label);
   RebuildLabelIndex();
-  CompileServeIndex();
+  CompileReferenceIndex();
   if (handles_.types != nullptr)
     handles_.types->Set(static_cast<double>(types_.size()));
   if (quality_ != nullptr) quality_->BindTypes(labels_);
@@ -287,12 +270,10 @@ void DeviceIdentifier::AddType(
 }
 
 IdentificationResult DeviceIdentifier::Identify(
-    const features::Fingerprint& full,
-    const features::FixedFingerprint& fixed) const {
-  IdentificationResult result = fast_path_ ? IdentifyFast(full, fixed)
-                                           : IdentifyReference(full, fixed);
-  RecordQuality(result);
-  return result;
+    const features::Fingerprint& full, const features::FixedFingerprint& fixed,
+    Provenance provenance) const {
+  const FingerprintRef probe{.full = &full, .fixed = &fixed};
+  return std::move(IdentifyBatch({&probe, 1}, provenance).front());
 }
 
 IdentificationResult DeviceIdentifier::IdentifyReference(
@@ -443,290 +424,125 @@ IdentificationResult DeviceIdentifier::IdentifyReference(
   return result;
 }
 
-void DeviceIdentifier::ScanBankFast(std::span<const double> row,
-                                    IdentificationResult& result) const {
-  result.bank_probabilities.assign(types_.size(), 0.0);
-  result.bank_labels.reserve(types_.size());
-  // A single-probe scan is a few microseconds of work per type; waking
-  // pool workers for per-index claims costs more than it saves at every
-  // bank size the throughput bench measures (8-128 types), so the
-  // per-call scan stays on the calling thread. Parallel identification
-  // throughput comes from IdentifyBatch (one pooled sweep over many
-  // probes) or from callers running concurrent Identify() calls — the
-  // method is const and thread-safe.
-  util::ThreadPool* const scan_pool = nullptr;
-  if (bank_early_exit_) {
-    std::vector<std::uint8_t> accepted(types_.size(), 0);
-    std::vector<std::uint8_t> exited(types_.size(), 0);
-    util::ParallelFor(scan_pool, types_.size(), [&](std::size_t k) {
-      const auto verdict = types_[k].flat.PositiveProbaThreshold(
-          row, config_.acceptance_threshold);
-      result.bank_probabilities[k] = verdict.probability;
-      accepted[k] = verdict.accepted ? 1 : 0;
-      exited[k] = verdict.early_exit ? 1 : 0;
-    });
-    std::uint64_t early_exits = 0;
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-      result.bank_labels.push_back(types_[k].label);
-      if (accepted[k] != 0) result.matched_types.push_back(types_[k].label);
-      early_exits += exited[k];
-    }
-    if (handles_.bank_early_exit != nullptr && early_exits > 0)
-      handles_.bank_early_exit->Increment(early_exits);
-    return;
-  }
-  util::ParallelFor(scan_pool, types_.size(), [&](std::size_t k) {
-    result.bank_probabilities[k] = types_[k].flat.PositiveProba(row);
-  });
-  for (std::size_t k = 0; k < types_.size(); ++k) {
-    result.bank_labels.push_back(types_[k].label);
-    if (result.bank_probabilities[k] >= config_.acceptance_threshold)
-      result.matched_types.push_back(types_[k].label);
-  }
-}
-
-void DeviceIdentifier::DiscriminateFast(
-    const features::Fingerprint& full, IdentificationResult& result,
-    features::EditDistanceScratch& scratch) const {
-  obs::ScopedSpan tiebreak_span("sentinel_stage_tie_break");
-  const auto t1 = Clock::now();
-  std::uint64_t probe_hash = 0xcbf29ce484222325ull;
-  for (const auto& packet : full.packets()) {
-    for (const auto value : packet) {
-      probe_hash = (probe_hash ^ value) * 0x100000001b3ull;
-    }
-  }
-  ml::SmallRng reference_rng(probe_hash);
-  double best_score = std::numeric_limits<double>::infinity();
-  int best_label = result.matched_types.front();
-  std::size_t best_take = 1;
-  std::size_t pruned_references = 0;
-  for (const int label : result.matched_types) {
-    const auto entry_it =
-        std::find_if(types_.begin(), types_.end(),
-                     [label](const PerType& e) { return e.label == label; });
-    const auto& references = entry_it->references;
-    const std::size_t take =
-        std::min(config_.discrimination_references, references.size());
-    // The reference picks consume the RNG exactly as the reference
-    // implementation does, pruned or not — the per-probe determinism
-    // contract hinges on this stream never diverging.
-    std::vector<std::size_t> indices(references.size());
-    std::iota(indices.begin(), indices.end(), std::size_t{0});
-    for (std::size_t i = 0; i < take; ++i) {
-      std::uniform_int_distribution<std::size_t> pick(i, indices.size() - 1);
-      std::swap(indices[i], indices[pick(reference_rng)]);
-    }
-    // References accumulate sequentially so each one sees the candidate's
-    // running score: a reference whose certified distance lower bound
-    // already pushes the candidate strictly above the best score ends the
-    // candidate (it can neither win nor tie), skipping the remaining
-    // distance computations. Non-pruned distances are bit-identical to
-    // NormalizedEditDistance and summed in the same order, so a candidate
-    // that completes has exactly the reference implementation's score —
-    // ties (and their coin flips) are preserved, and the eventual winner
-    // is never pruned (pruning certifies a score above the then-current
-    // best, which only ever decreases).
-    // Intern the probe against this type's frozen reference table (see
-    // CompileEntry): the references' id forms are precomputed, so the DP
-    // compares one id per cell with no per-reference interning work.
-    entry_it->reference_table.InternReadOnly(full.packets(), scratch.overflow,
-                                             scratch.ids_a);
-    const std::span<const std::uint32_t> probe_ids(scratch.ids_a);
-    double score = 0.0;
-    bool pruned = false;
-    for (std::size_t i = 0; i < take; ++i) {
-      const auto& reference_ids = entry_it->reference_ids[indices[i]];
-      const auto outcome = features::PrunedNormalizedEditDistance(
-          probe_ids, std::span<const std::uint32_t>(reference_ids), score,
-          best_score, scratch);
-      score += outcome.value;
-      if (outcome.pruned) {
-        pruned = true;
-        pruned_references += take - i;
-        break;
-      }
-      ++result.edit_distance_count;
-    }
-    // For pruned candidates this records the certified lower bound the
-    // candidate was eliminated at, not the exact score.
-    result.dissimilarity_scores.push_back(score);
-    if (pruned) continue;
-    if (score < best_score) {
-      best_score = score;
-      best_label = label;
-      best_take = std::max<std::size_t>(1, take);
-    } else if (score == best_score) {
-      ++result.tie_break_count;
-      if (handles_.tiebreak_total != nullptr)
-        handles_.tiebreak_total->Increment();
-      std::uniform_int_distribution<int> coin(0, 1);
-      if (coin(reference_rng) == 1) best_label = label;
-    }
-  }
-  result.discrimination_time = Clock::now() - t1;
-  if (tiebreak_span.enabled()) {
-    tiebreak_span.AddArg("candidates",
-                         std::to_string(result.matched_types.size()));
-    tiebreak_span.AddArg("edit_distances",
-                         std::to_string(result.edit_distance_count));
-    tiebreak_span.AddArg("pruned", std::to_string(pruned_references));
-    tiebreak_span.AddArg("best_label", std::to_string(best_label));
-  }
-  tiebreak_span.End();
-  if (handles_.discrimination_ns != nullptr) {
-    handles_.discrimination_ns->Observe(
-        static_cast<double>(result.discrimination_time.count()));
-    handles_.edit_distance_total->Increment(result.edit_distance_count);
-    if (pruned_references > 0)
-      handles_.editdist_pruned->Increment(pruned_references);
-  }
-  if (best_score / static_cast<double>(best_take) >
-      config_.rejection_distance) {
-    if (handles_.unknown_total != nullptr) handles_.unknown_total->Increment();
-    SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "rejected"},
-                       {"matches", result.matched_types.size()},
-                       {"best_score", best_score});
-    return;  // new device-type
-  }
-  result.type = best_label;
-  SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "known"},
-                     {"label", best_label},
-                     {"matches", result.matched_types.size()});
-}
-
-IdentificationResult DeviceIdentifier::IdentifyFast(
-    const features::Fingerprint& full,
-    const features::FixedFingerprint& fixed) const {
-  SENTINEL_PROFILE_SCOPE("identify.fast");
-  IdentificationResult result;
-  result.acceptance_threshold = config_.acceptance_threshold;
-  // F' is already a contiguous double array — the compiled bank consumes
-  // it in place, with no per-probe ToVector() allocation.
-  const std::span<const double> row(fixed.values());
-
-  obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
-  const auto t0 = Clock::now();
-  ScanBankFast(row, result);
-  result.classification_time = Clock::now() - t0;
-  if (bank_span.enabled()) {
-    bank_span.AddArg("types", std::to_string(types_.size()));
-    bank_span.AddArg("matches", std::to_string(result.matched_types.size()));
-  }
-  bank_span.End();
-  if (handles_.identify_total != nullptr) {
-    handles_.identify_total->Increment();
-    handles_.accepts_total->Increment(result.matched_types.size());
-    handles_.classification_ns->Observe(
-        static_cast<double>(result.classification_time.count()));
-    if (result.matched_types.size() > 1)
-      handles_.multi_match_total->Increment();
-  }
-
-  if (result.matched_types.empty()) {
-    if (handles_.unknown_total != nullptr) handles_.unknown_total->Increment();
-    SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "unknown"},
-                       {"matches", std::size_t{0}});
-    return result;  // unknown device-type
-  }
-
-  thread_local features::EditDistanceScratch scratch;
-  DiscriminateFast(full, result, scratch);
-  return result;
-}
-
 std::vector<IdentificationResult> DeviceIdentifier::IdentifyBatch(
-    std::span<const FingerprintRef> probes) const {
-  SENTINEL_PROFILE_SCOPE("identify.batch");
-  std::vector<IdentificationResult> results(probes.size());
-  if (probes.empty()) return results;
-  if (!fast_path_) {
-    for (std::size_t r = 0; r < probes.size(); ++r) {
-      results[r] = IdentifyReference(*probes[r].full, *probes[r].fixed);
-      RecordQuality(results[r]);
+    std::span<const FingerprintRef> probes, Provenance provenance) const {
+  SENTINEL_PROFILE_SCOPE("identify.kernel");
+  const std::size_t rows = probes.size();
+  std::vector<IdentificationResult> results(rows);
+  if (rows == 0) return results;
+
+  // Row-major F' matrix. A single probe's F' is already one contiguous
+  // row, consumed in place.
+  std::vector<double> stacked;
+  std::span<const double> matrix(probes.front().fixed->values());
+  if (rows > 1) {
+    stacked.resize(rows * features::kFPrimeDim);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto& values = probes[r].fixed->values();
+      std::copy(values.begin(), values.end(),
+                stacked.begin() +
+                    static_cast<std::ptrdiff_t>(r * features::kFPrimeDim));
     }
-    return results;
+    matrix = stacked;
   }
 
-  // One bank sweep over all probes: per type, a single batched pass whose
-  // tree arena stays cache-hot across the whole probe matrix.
-  const std::size_t rows = probes.size();
-  std::vector<double> matrix(rows * features::kFPrimeDim);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto& values = probes[r].fixed->values();
-    std::copy(values.begin(), values.end(),
-              matrix.begin() +
-                  static_cast<std::ptrdiff_t>(r * features::kFPrimeDim));
-  }
+  // Stage 1: type-outer sweep, so each arena stays cache-hot across the
+  // whole probe matrix. kExact accumulates every tree; kCertifiedBounds
+  // stops a row's scan as soon as the remaining trees' bounds decide its
+  // verdict. Either way p >= threshold is exactly the accept test, since
+  // an early-exit bound lies on the verdict's side of the threshold.
   obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
   const auto t0 = Clock::now();
   std::vector<double> proba(types_.size() * rows, 0.0);
+  std::vector<std::size_t> early_exits(types_.size(), 0);
   // Work grain: a dispatched task should scan at least ~2k probe rows —
-  // below that, pool dispatch costs more than the scan itself (small banks
-  // with few probes used to lose throughput going 1t -> 8t). Each index
-  // scans `rows` probes, so the grain is expressed in types-per-task.
+  // below that, pool dispatch costs more than the scan itself. Each index
+  // scans `rows` probes, so the grain is expressed in types-per-task; a
+  // single probe never leaves the calling thread.
   constexpr std::size_t kMinScanEvalsPerTask = 2048;
   const std::size_t scan_grain =
-      std::max<std::size_t>(1, kMinScanEvalsPerTask / std::max<std::size_t>(rows, 1));
+      std::max<std::size_t>(1, kMinScanEvalsPerTask / rows);
   util::ParallelFor(
       pool_, types_.size(),
       [&](std::size_t k) {
-        types_[k].flat.PositiveProbaBatch(
-            matrix, features::kFPrimeDim,
-            std::span<double>(proba).subspan(k * rows, rows));
+        const ml::FlatForest& flat = types_[k].flat;
+        const auto out = std::span<double>(proba).subspan(k * rows, rows);
+        if (provenance == Provenance::kCertifiedBounds) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            const auto verdict = flat.PositiveProbaThreshold(
+                matrix.subspan(r * features::kFPrimeDim, features::kFPrimeDim),
+                config_.acceptance_threshold);
+            out[r] = verdict.probability;
+            if (verdict.early_exit) ++early_exits[k];
+          }
+        } else {
+          flat.PositiveProbaBatch(matrix, features::kFPrimeDim, out);
+        }
       },
       scan_grain);
-  const auto scan_time = Clock::now() - t0;
+  const auto scan_share = (Clock::now() - t0) / static_cast<long>(rows);
   if (bank_span.enabled()) {
     bank_span.AddArg("types", std::to_string(types_.size()));
     bank_span.AddArg("probes", std::to_string(rows));
   }
   bank_span.End();
-  const auto scan_share =
-      std::chrono::nanoseconds(scan_time.count() / static_cast<long>(rows));
+  if (handles_.bank_early_exit != nullptr) {
+    const std::size_t exits =
+        std::accumulate(early_exits.begin(), early_exits.end(), std::size_t{0});
+    if (exits > 0) handles_.bank_early_exit->Increment(exits);
+  }
 
   // Stage 2 is independent per probe (each draws its picks and coins from
   // its own probe-hash-seeded RNG), so probes discriminate in parallel;
   // metrics handles are atomic. Chunks of 16 probes amortize dispatch —
   // small batches run sequentially on the caller.
   constexpr std::size_t kMinRowsPerTask = 16;
-  util::ParallelFor(pool_, rows, [&](std::size_t r) {
-    IdentificationResult& result = results[r];
-    result.acceptance_threshold = config_.acceptance_threshold;
-    result.bank_probabilities.resize(types_.size());
-    result.bank_labels.reserve(types_.size());
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-      const double p = proba[k * rows + r];
-      result.bank_probabilities[k] = p;
-      result.bank_labels.push_back(types_[k].label);
-      if (p >= config_.acceptance_threshold)
-        result.matched_types.push_back(types_[k].label);
-    }
-    result.classification_time = scan_share;
-    if (handles_.identify_total != nullptr) {
-      handles_.identify_total->Increment();
-      handles_.accepts_total->Increment(result.matched_types.size());
-      handles_.classification_ns->Observe(
-          static_cast<double>(result.classification_time.count()));
-      if (result.matched_types.size() > 1)
-        handles_.multi_match_total->Increment();
-    }
-    if (result.matched_types.empty()) {
-      if (handles_.unknown_total != nullptr)
-        handles_.unknown_total->Increment();
-      RecordQuality(result);
-      return;
-    }
-    thread_local features::EditDistanceScratch scratch;
-    DiscriminateFast(*probes[r].full, result, scratch);
-    RecordQuality(result);
-  }, kMinRowsPerTask);
+  util::ParallelFor(
+      pool_, rows,
+      [&](std::size_t r) {
+        IdentificationResult& result = results[r];
+        result.acceptance_threshold = config_.acceptance_threshold;
+        result.bank_probabilities.resize(types_.size());
+        result.bank_labels.reserve(types_.size());
+        for (std::size_t k = 0; k < types_.size(); ++k) {
+          const double p = proba[k * rows + r];
+          result.bank_probabilities[k] = p;
+          result.bank_labels.push_back(types_[k].label);
+          if (p >= config_.acceptance_threshold)
+            result.matched_types.push_back(types_[k].label);
+        }
+        result.classification_time =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(scan_share);
+        if (handles_.identify_total != nullptr) {
+          handles_.identify_total->Increment();
+          handles_.accepts_total->Increment(result.matched_types.size());
+          handles_.classification_ns->Observe(
+              static_cast<double>(result.classification_time.count()));
+          if (result.matched_types.size() > 1)
+            handles_.multi_match_total->Increment();
+        }
+        if (result.matched_types.empty()) {
+          if (handles_.unknown_total != nullptr)
+            handles_.unknown_total->Increment();
+          SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "unknown"},
+                             {"matches", std::size_t{0}});
+        } else {
+          Discriminate(*probes[r].full, result);
+        }
+        RecordQuality(result);
+      },
+      kMinRowsPerTask);
   return results;
 }
 
-void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
-                                         IdentificationResult& result,
-                                         ServeScratch& scratch) const {
+void DeviceIdentifier::Discriminate(const features::Fingerprint& full,
+                                    IdentificationResult& result) const {
+  obs::ScopedSpan tiebreak_span("sentinel_stage_tie_break");
+  const auto t1 = Clock::now();
+  // One scratch per thread, reused across calls and identifiers: every
+  // buffer is either resized on use or restored to all-zero before
+  // returning, and nothing below re-enters Discriminate.
+  thread_local DiscriminationScratch scratch;
   std::uint64_t probe_hash = 0xcbf29ce484222325ull;
   for (const auto& packet : full.packets()) {
     for (const auto value : packet) {
@@ -734,15 +550,15 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
     }
   }
   ml::SmallRng reference_rng(probe_hash);
-  // One probe intern against the cross-type serve table covers every
-  // candidate (id equality over the shared table is equivalent to packet
-  // equality, so every distance below is unchanged), and one Myers
-  // pattern over the probe serves every reference comparison. Both use
-  // persistently-zeroed scratch restored before returning.
-  serve_.table.InternReadOnly(full.packets(), scratch.ed.overflow,
+  // One probe intern against the cross-type table covers every candidate
+  // (id equality over the shared table is equivalent to packet equality,
+  // so every distance below is unchanged), and one Myers pattern over the
+  // probe serves every reference comparison. Both use persistently-zeroed
+  // scratch restored before returning.
+  index_.table.InternReadOnly(full.packets(), scratch.ed.overflow,
                               scratch.ed.ids_a);
   const std::span<const std::uint32_t> probe_ids(scratch.ed.ids_a);
-  const std::size_t table = serve_.table.size();
+  const std::size_t table = index_.table.size();
   // Myers bit-parallel Levenshtein over the probe as pattern: an exact
   // upper bound on each OSA distance (OSA only adds transposition to
   // Levenshtein's operation set), capping the banded program at the true
@@ -763,13 +579,12 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
   std::size_t pruned_references = 0;
   for (const int label : result.matched_types) {
     const std::size_t slot = label_index_.at(label);
-    const PerType& entry = types_[slot];
-    const auto& references = entry.references;
+    const auto& references = types_[slot].references;
     const std::size_t take =
         std::min(config_.discrimination_references, references.size());
-    // The picks consume the RNG exactly as DiscriminateFast does — the
-    // shared per-probe determinism contract hinges on this stream never
-    // diverging.
+    // The picks consume the RNG exactly as IdentifyReference does, pruned
+    // or not — the per-probe determinism contract hinges on this stream
+    // never diverging.
     auto& indices = scratch.indices;
     indices.resize(references.size());
     std::iota(indices.begin(), indices.end(), std::size_t{0});
@@ -777,7 +592,7 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
       std::uniform_int_distribution<std::size_t> pick(i, indices.size() - 1);
       std::swap(indices[i], indices[pick(reference_rng)]);
     }
-    const auto& serve_ids = serve_.reference_ids[slot];
+    const auto& reference_ids = index_.reference_ids[slot];
     // Per-reference bag lower bounds (every alignment keeps at most
     // |multiset intersection| elements; each unkept element of the
     // longer side costs at least one operation) and whole-candidate
@@ -786,18 +601,17 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
     // (both monotone under rounding) certify a lower bound on the
     // candidate's final score. Strictly above best means no win and no
     // tie — the candidate is eliminated without running a single DP,
-    // with the RNG picks already consumed and no coin owed, so the
-    // tie-break stream matches DiscriminateFast exactly.
+    // with the RNG picks already consumed and no coin owed.
     auto& bag_lb = scratch.bag_lb;
     bag_lb.assign(take, 0);
     double bound_sum = 0.0;
     for (std::size_t i = 0; i < take; ++i) {
       std::size_t overlap = 0;
-      for (const auto& [id, count] : serve_.reference_bags[slot][indices[i]]) {
+      for (const auto& [id, count] : index_.reference_bags[slot][indices[i]]) {
         overlap += std::min<std::size_t>(count, scratch.counts[id]);
       }
       const std::size_t longest =
-          std::max(probe_ids.size(), serve_ids[indices[i]].size());
+          std::max(probe_ids.size(), reference_ids[indices[i]].size());
       bag_lb[i] = longest - overlap;
       if (longest > 0) {
         bound_sum += static_cast<double>(bag_lb[i]) /
@@ -806,16 +620,24 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
     }
     if (bound_sum > best_score) {
       pruned_references += take;
-      // Bound-grade provenance: the certified lower bound the
-      // candidate was eliminated at, like the pruned path below.
+      // The certified lower bound the candidate was eliminated at.
       result.dissimilarity_scores.push_back(bound_sum);
       continue;
     }
+    // References accumulate sequentially so each one sees the candidate's
+    // running score: a reference whose certified distance lower bound
+    // already pushes the candidate strictly above the best score ends the
+    // candidate (it can neither win nor tie). Non-pruned distances are
+    // bit-identical to NormalizedEditDistance and summed in the same
+    // order, so a candidate that completes has exactly the reference
+    // implementation's score — ties (and their coin flips) are preserved,
+    // and the eventual winner is never pruned (pruning certifies a score
+    // above the then-current best, which only ever decreases).
     double score = 0.0;
     bool pruned = false;
     for (std::size_t i = 0; i < take; ++i) {
       const std::span<const std::uint32_t> reference_span(
-          serve_ids[indices[i]]);
+          reference_ids[indices[i]]);
       const std::size_t upper =
           myers_ok ? features::MyersDistance(probe_ids.size(), reference_span,
                                              scratch.ed)
@@ -835,6 +657,9 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
     // candidate was eliminated at, not the exact score.
     result.dissimilarity_scores.push_back(score);
     if (pruned) continue;
+    // Equal scores are common between types that share hardware/firmware
+    // (their fingerprints can be identical); the coin flip reproduces the
+    // paper's random reference draw landing on either type.
     if (score < best_score) {
       best_score = score;
       best_label = label;
@@ -852,94 +677,37 @@ void DeviceIdentifier::DiscriminateServe(const features::Fingerprint& full,
     if (id < table) scratch.counts[id] = 0;
   }
   if (myers_ok) features::ClearMyersPattern(probe_ids, scratch.ed);
-  if (handles_.edit_distance_total != nullptr) {
+  result.discrimination_time = Clock::now() - t1;
+  if (tiebreak_span.enabled()) {
+    tiebreak_span.AddArg("candidates",
+                         std::to_string(result.matched_types.size()));
+    tiebreak_span.AddArg("edit_distances",
+                         std::to_string(result.edit_distance_count));
+    tiebreak_span.AddArg("pruned", std::to_string(pruned_references));
+    tiebreak_span.AddArg("best_label", std::to_string(best_label));
+  }
+  tiebreak_span.End();
+  if (handles_.discrimination_ns != nullptr) {
+    handles_.discrimination_ns->Observe(
+        static_cast<double>(result.discrimination_time.count()));
     handles_.edit_distance_total->Increment(result.edit_distance_count);
     if (pruned_references > 0)
       handles_.editdist_pruned->Increment(pruned_references);
   }
+  // Open-set gate: if even the winner is (on average) nearly maximally
+  // distant from its own references, the device is like none of them.
   if (best_score / static_cast<double>(best_take) >
       config_.rejection_distance) {
     if (handles_.unknown_total != nullptr) handles_.unknown_total->Increment();
+    SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "rejected"},
+                       {"matches", result.matched_types.size()},
+                       {"best_score", best_score});
     return;  // new device-type
   }
   result.type = best_label;
-}
-
-std::vector<IdentificationResult> DeviceIdentifier::IdentifyBatchServe(
-    std::span<const FingerprintRef> probes) const {
-  SENTINEL_PROFILE_SCOPE("identify.batch_serve");
-  const std::size_t rows = probes.size();
-  std::vector<IdentificationResult> results(rows);
-  if (rows == 0) return results;
-  if (!fast_path_) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      results[r] = IdentifyReference(*probes[r].full, *probes[r].fixed);
-      RecordQuality(results[r]);
-    }
-    return results;
-  }
-
-  // Row-major F' matrix, same layout as IdentifyBatch.
-  std::vector<double> matrix(rows * features::kFPrimeDim);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto& values = probes[r].fixed->values();
-    std::copy(values.begin(), values.end(),
-              matrix.begin() +
-                  static_cast<std::ptrdiff_t>(r * features::kFPrimeDim));
-  }
-
-  // Stage 1: type-outer threshold sweep — one arena stays cache-hot
-  // across the whole probe matrix while each row's scan still stops as
-  // soon as the certified tree-suffix bounds decide its verdict. The
-  // accept set is exact; recorded probabilities are bounds on early exit.
-  for (std::size_t r = 0; r < rows; ++r) {
-    results[r].acceptance_threshold = config_.acceptance_threshold;
-    results[r].bank_probabilities.resize(types_.size());
-    results[r].bank_labels.reserve(types_.size());
-  }
-  const std::span<const double> flat_matrix(matrix);
-  std::uint64_t early_exits = 0;
-  for (std::size_t k = 0; k < types_.size(); ++k) {
-    const PerType& entry = types_[k];
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto verdict = entry.flat.PositiveProbaThreshold(
-          flat_matrix.subspan(r * features::kFPrimeDim,
-                              features::kFPrimeDim),
-          config_.acceptance_threshold);
-      results[r].bank_probabilities[k] = verdict.probability;
-      results[r].bank_labels.push_back(entry.label);
-      if (verdict.accepted) results[r].matched_types.push_back(entry.label);
-      if (verdict.early_exit) ++early_exits;
-    }
-  }
-  if (handles_.bank_early_exit != nullptr && early_exits > 0)
-    handles_.bank_early_exit->Increment(early_exits);
-
-  // Stage 2: sequential per probe (the serving drain owns one core) with
-  // one shared scratch across the whole batch.
-  ServeScratch scratch;
-  std::uint64_t accepts = 0;
-  std::uint64_t multi = 0;
-  std::uint64_t unknown = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    IdentificationResult& result = results[r];
-    accepts += result.matched_types.size();
-    if (result.matched_types.size() > 1) ++multi;
-    if (result.matched_types.empty()) {
-      ++unknown;
-      RecordQuality(result);
-      continue;
-    }
-    DiscriminateServe(*probes[r].full, result, scratch);
-    RecordQuality(result);
-  }
-  if (handles_.identify_total != nullptr) {
-    handles_.identify_total->Increment(rows);
-    handles_.accepts_total->Increment(accepts);
-    if (multi > 0) handles_.multi_match_total->Increment(multi);
-    if (unknown > 0) handles_.unknown_total->Increment(unknown);
-  }
-  return results;
+  SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "known"},
+                     {"label", best_label},
+                     {"matches", result.matched_types.size()});
 }
 
 // Model bundle format: 'S''I''D' ver(1) | config | u32 type_count |
@@ -976,22 +744,30 @@ DeviceIdentifier DeviceIdentifier::Load(net::ByteReader& r) {
   config.rejection_distance = static_cast<double>(r.ReadU64()) / 1e9;
   config.seed = r.ReadU64();
   DeviceIdentifier identifier(config);
+  // Counts come from the file, so each is checked against the bytes left
+  // before it sizes a buffer: label + the smallest forest + reference
+  // count per type, magic + packet count per reference.
+  constexpr std::size_t kMinTypeBytes =
+      4 + ml::RandomForest::kMinEncodedBytes + 4;
+  constexpr std::size_t kMinReferenceBytes = 4 + 2;
   const std::uint32_t type_count = r.ReadU32();
+  r.CheckCount(type_count, kMinTypeBytes, "device-type");
   identifier.types_.reserve(type_count);
   for (std::uint32_t t = 0; t < type_count; ++t) {
     PerType entry;
     entry.label = static_cast<int>(r.ReadU32());
     entry.classifier = ml::RandomForest::Load(r);
     const std::uint32_t reference_count = r.ReadU32();
+    r.CheckCount(reference_count, kMinReferenceBytes, "reference fingerprint");
     entry.references.reserve(reference_count);
     for (std::uint32_t i = 0; i < reference_count; ++i)
       entry.references.push_back(features::DecodeFingerprint(r));
-    CompileEntry(entry);
+    entry.flat = ml::FlatForest::Compile(entry.classifier);
     identifier.labels_.push_back(entry.label);
     identifier.types_.push_back(std::move(entry));
   }
   identifier.RebuildLabelIndex();
-  identifier.CompileServeIndex();
+  identifier.CompileReferenceIndex();
   return identifier;
 }
 
@@ -1040,18 +816,15 @@ std::size_t DeviceIdentifier::MemoryBytes() const {
   for (const auto& entry : types_) {
     total += entry.classifier.MemoryBytes();
     total += entry.flat.MemoryBytes();
-    total += entry.reference_table.MemoryBytes();
-    for (const auto& ids : entry.reference_ids)
-      total += ids.capacity() * sizeof(std::uint32_t);
     for (const auto& reference : entry.references) {
       total += reference.size() * sizeof(features::PacketFeatureVector);
     }
   }
-  total += serve_.table.MemoryBytes();
-  for (const auto& per_type : serve_.reference_ids)
+  total += index_.table.MemoryBytes();
+  for (const auto& per_type : index_.reference_ids)
     for (const auto& ids : per_type)
       total += ids.capacity() * sizeof(std::uint32_t);
-  for (const auto& per_type : serve_.reference_bags)
+  for (const auto& per_type : index_.reference_bags)
     for (const auto& bag : per_type)
       total += bag.capacity() * sizeof(std::pair<std::uint32_t, std::uint32_t>);
   return total;

@@ -53,8 +53,35 @@ struct IdentifierConfig {
   std::uint64_t seed = 17;
 };
 
+/// How exact the kernel's recorded evidence must be. Verdicts never depend
+/// on it: both grades run the same accept test and the same tie-break.
+///
+///   IdentificationResult field     kExact             kCertifiedBounds
+///   -----------------------------  -----------------  --------------------
+///   type, matched_types,           exact              exact
+///     bank_labels, tie_break_count
+///   bank_probabilities             exact, bit-        exact, or after a
+///                                  identical to       tree-scan early exit
+///                                  IdentifyReference  a certified bound on
+///                                                     the verdict's side of
+///                                                     the threshold
+///   dissimilarity_scores: winner   exact              exact
+///   dissimilarity_scores: losers   exact, or a certified lower bound where
+///                                  pruned; equal under both grades
+///   edit_distance_count            distances computed (<= the reference's);
+///                                  equal under both grades
+///   classification_time,           measured; a batch gives each probe an
+///     discrimination_time          even share of its one bank sweep
+///
+/// kExact is the default and what every reader of probabilities needs
+/// (eval, drift, the quality monitor's top-1/top-2 margin, the decision
+/// journal). kCertifiedBounds lets a caller that only reads verdicts (the
+/// identification server) stop each classifier's tree scan as soon as the
+/// verdict is certain.
+enum class Provenance { kExact, kCertifiedBounds };
+
 /// Identification outcome with the per-stage timing the paper reports in
-/// Table IV.
+/// Table IV. Which fields are exact depends on the Provenance requested.
 struct IdentificationResult {
   /// Index into the trained type list, or nullopt for "new device-type".
   std::optional<int> type;
@@ -67,13 +94,13 @@ struct IdentificationResult {
   std::vector<int> bank_labels;
   std::vector<double> bank_probabilities;
   double acceptance_threshold = 0.0;
-  /// Dissimilarity scores per matched type (empty if <= 1 match).
+  /// Dissimilarity scores per matched type (empty if no type matched).
   std::vector<double> dissimilarity_scores;
   /// Number of edit-distance computations performed.
   std::size_t edit_distance_count = 0;
   /// Equal-dissimilarity tie-break coin flips taken while discriminating
-  /// (identical on the fast and reference paths — pruning never eliminates
-  /// a tie or the winner).
+  /// (pruning never eliminates a tie or the winner, so the count equals
+  /// IdentifyReference's).
   std::size_t tie_break_count = 0;
   std::chrono::nanoseconds classification_time{0};
   std::chrono::nanoseconds discrimination_time{0};
@@ -94,9 +121,10 @@ class DeviceIdentifier {
       : config_(config) {}
 
   /// Opts this identifier into parallel execution: Train() spreads the
-  /// per-type classifiers (and each classifier's trees) over the pool, and
-  /// Identify() parallelizes the classifier-bank scan plus the per-candidate
-  /// edit-distance computations. nullptr (the default) is fully sequential.
+  /// per-type classifiers (and each classifier's trees) over the pool,
+  /// IdentifyBatch() fans large batches out over it, and
+  /// IdentifyReference() parallelizes its bank scan and edit distances.
+  /// nullptr (the default) is fully sequential.
   /// Results are identical either way — parallel sections only fill
   /// per-index slots that are merged in deterministic order — so callers can
   /// flip this on without changing any output. The pool is runtime wiring,
@@ -141,36 +169,15 @@ class DeviceIdentifier {
   void AddType(int label, const std::vector<LabelledFingerprint>& examples,
                const std::vector<LabelledFingerprint>& negatives);
 
-  /// Routes Identify() through the compiled fast path (arena-flattened
-  /// classifier bank + pruned edit-distance tie-break, the default) or the
-  /// reference implementation. Verdicts, bank probabilities, matched-type
-  /// lists and the winning dissimilarity score are bit-identical either
-  /// way (differentially tested); only dissimilarity scores of candidates
-  /// that provably lost may differ (the fast path records a certified
-  /// lower bound instead of finishing the computation), along with
-  /// edit_distance_count.
-  void set_fast_path(bool on) { fast_path_ = on; }
-  [[nodiscard]] bool fast_path() const { return fast_path_; }
-
-  /// Opt-in stage-1 early exit: stop scanning a classifier's trees once
-  /// the accept/reject verdict is certain from the remaining trees'
-  /// probability bounds. Verdicts (and therefore identifications) stay
-  /// exact, but the recorded bank_probabilities become certified bounds
-  /// rather than exact probabilities whenever a scan exits early — hence
-  /// off by default, where recorded probabilities are bit-identical to
-  /// the reference. Only affects the fast path.
-  void set_bank_early_exit(bool on) { bank_early_exit_ = on; }
-  [[nodiscard]] bool bank_early_exit() const { return bank_early_exit_; }
-
-  /// Identifies one fingerprint (through the fast path unless
-  /// set_fast_path(false)).
+  /// Identifies one fingerprint: IdentifyBatch() over a batch of one.
   [[nodiscard]] IdentificationResult Identify(
       const features::Fingerprint& full,
-      const features::FixedFingerprint& fixed) const;
+      const features::FixedFingerprint& fixed,
+      Provenance provenance = Provenance::kExact) const;
 
-  /// The pre-fast-path implementation, kept verbatim for A/B comparison,
-  /// differential testing and honest benchmarking. Identify() with
-  /// set_fast_path(false) routes here.
+  /// The straightforward two-stage implementation (per-forest scan, full
+  /// edit distances on every candidate), kept as the differential oracle
+  /// for the kernel and the baseline of the throughput bench.
   [[nodiscard]] IdentificationResult IdentifyReference(
       const features::Fingerprint& full,
       const features::FixedFingerprint& fixed) const;
@@ -182,37 +189,19 @@ class DeviceIdentifier {
     const features::FixedFingerprint* fixed = nullptr;
   };
 
-  /// Batched identification: scans the whole bank over a row-major matrix
-  /// of all probes' F' vectors (one PositiveProbaBatch sweep per type, the
-  /// arena staying cache-hot across probes), then discriminates the probes
-  /// in parallel on the thread pool. Each result is bit-identical to the
-  /// corresponding per-call Identify() on the default fast path — every
-  /// probe derives its reference picks and tie-break coins from its own
-  /// probe-hash-seeded RNG stream, so batching cannot reorder them. The
-  /// batch always uses the exact batched scan (bank_early_exit does not
-  /// apply). classification_time is reported as the probe's even share of
-  /// the one batched scan.
+  /// The identification kernel. Stage 1 sweeps the compiled bank
+  /// type-outer over the probes' F' matrix, so each arena stays cache-hot
+  /// across the batch; stage 2 scores each probe's accepted candidates
+  /// against the cross-type reference index with bag lower bounds, a
+  /// Myers upper bound and budget pruning, on per-thread scratch. Every
+  /// probe draws its reference picks and tie-break coins from its own
+  /// probe-hash-seeded RNG stream, so a probe's result does not depend on
+  /// the batch around it or on the thread pool. With a pool attached,
+  /// large batches fan stage 1 out over types and stage 2 over probes;
+  /// a single probe always runs on the calling thread.
   [[nodiscard]] std::vector<IdentificationResult> IdentifyBatch(
-      std::span<const FingerprintRef> probes) const;
-
-  /// Serving-grade batch identification: the kernel behind the always-on
-  /// server's micro-batched drain. Verdict-grade fields — type,
-  /// matched_types, tie_break_count and every dissimilarity score of a
-  /// candidate that completed discrimination (the winner always does) —
-  /// are bit-identical to Identify()/IdentifyBatch() on the default fast
-  /// path: the stage-1 accept test is exact (threshold early exit decides
-  /// the same verdict from certified tree-suffix bounds) and stage-2
-  /// pruning only ever eliminates candidates provably unable to win or
-  /// tie, leaving the probe-hash-seeded RNG stream untouched. Provenance
-  /// differs in grade, not meaning: bank_probabilities are certified
-  /// bounds when a scan exits early (as with set_bank_early_exit),
-  /// pruned losers may record lower bounds reached before the DP was
-  /// entered (a cheap bag-of-packets bound prunes most of them), and the
-  /// per-stage timings are zero — the serving loop takes no per-probe
-  /// clock reads. Runs sequentially on the calling thread (the drain
-  /// thread of a one-core gateway), never touching the thread pool.
-  [[nodiscard]] std::vector<IdentificationResult> IdentifyBatchServe(
-      std::span<const FingerprintRef> probes) const;
+      std::span<const FingerprintRef> probes,
+      Provenance provenance = Provenance::kExact) const;
 
   [[nodiscard]] std::size_t type_count() const { return types_.size(); }
   /// Mean out-of-bag accuracy across the per-type classifiers — a model
@@ -240,28 +229,21 @@ class DeviceIdentifier {
     ml::FlatForest flat;
     /// Training fingerprints retained as discrimination references.
     std::vector<features::Fingerprint> references;
-    /// Interned forms of `references`, built alongside `flat`: each
-    /// reference's packets as dense ids over a per-type frozen table.
-    /// DiscriminateFast interns only the probe (lookup-only) against this
-    /// table per candidate, so the per-reference interning work that would
-    /// otherwise repeat on every identification happens once here.
-    features::PacketInterner reference_table;
-    std::vector<std::vector<std::uint32_t>> reference_ids;
   };
 
-  /// Cross-type serve index: one interner spanning every type's
-  /// references, so DiscriminateServe interns a probe once per probe
-  /// (instead of once per candidate type) and builds one Myers pattern
-  /// reused across all candidates. Id equality over the shared table is
-  /// still equivalent to packet equality, so every edit distance is
-  /// unchanged. Rebuilt by CompileServeIndex(); never serialized.
-  struct ServeIndex {
+  /// Cross-type reference index: one interner spanning every type's
+  /// references, so Discriminate interns a probe once (not once per
+  /// candidate type) and builds one Myers pattern reused across all
+  /// candidates. Id equality over the shared table is still equivalent to
+  /// packet equality, so every edit distance is unchanged. Rebuilt by
+  /// CompileReferenceIndex(); never serialized.
+  struct ReferenceIndex {
     features::PacketInterner table;
     /// Per types_ slot, per reference: its packets as ids in `table`'s
-    /// space (same sequences as PerType::reference_ids, different ids).
+    /// space.
     std::vector<std::vector<std::vector<std::uint32_t>>> reference_ids;
     /// Per types_ slot, per reference: its interned ids as a sorted
-    /// (id, count) multiset. The serve path intersects a probe's id
+    /// (id, count) multiset. Discriminate intersects a probe's id
     /// histogram with these bags to certify the OSA lower bound
     /// max(n, m) - |bag intersection| before committing to a DP (every
     /// kept element of an alignment consumes one occurrence from each
@@ -270,14 +252,9 @@ class DeviceIdentifier {
         reference_bags;
   };
 
-  /// Compiles `entry`'s runtime acceleration structures (arena forest +
-  /// interned references) from its trained state. Called after TrainOne /
-  /// AddType / Load; never affects serialized bytes.
-  static void CompileEntry(PerType& entry);
-
-  /// Rebuilds serve_ from types_. Called (sequentially) after Train /
+  /// Rebuilds index_ from types_. Called (sequentially) after Train /
   /// AddType / Load, alongside RebuildLabelIndex.
-  void CompileServeIndex();
+  void CompileReferenceIndex();
 
   /// Trains one per-type binary classifier. Rows are the pre-flattened F'
   /// vectors of the positives / candidate negatives (flattening is hoisted
@@ -306,42 +283,25 @@ class DeviceIdentifier {
     obs::Gauge* types = nullptr;
   };
 
-  /// Fast-path stage 1 for one probe: fills bank_labels /
-  /// bank_probabilities / matched_types via the compiled bank.
-  void ScanBankFast(std::span<const double> row,
-                    IdentificationResult& result) const;
-  /// Fast-path stage 2 (pruned tie-break) for one probe whose
-  /// matched_types is non-empty. Sequential over candidates and
-  /// references (the pruning budget accumulates left to right), so it is
-  /// thread-pool independent and safe to run per-probe in IdentifyBatch.
-  void DiscriminateFast(const features::Fingerprint& full,
-                        IdentificationResult& result,
-                        features::EditDistanceScratch& scratch) const;
-  [[nodiscard]] IdentificationResult IdentifyFast(
-      const features::Fingerprint& full,
-      const features::FixedFingerprint& fixed) const;
-
-  /// Reusable buffers for the serving-grade batch kernel: one instance
-  /// serves a whole batch with no per-probe or per-candidate allocation.
-  struct ServeScratch {
+  /// Reusable stage-2 buffers, one per thread (see Discriminate): no
+  /// per-probe or per-candidate allocation once warm.
+  struct DiscriminationScratch {
     features::EditDistanceScratch ed;
     /// Fisher-Yates index buffer for reference picks.
     std::vector<std::size_t> indices;
-    /// Probe packet-id histogram over the serve table, kept all-zero
+    /// Probe packet-id histogram over the index table, kept all-zero
     /// between probes (each probe zeroes exactly the ids it touched).
     std::vector<std::uint32_t> counts;
     /// Per-chosen-reference bag lower bounds for the current candidate.
     std::vector<std::size_t> bag_lb;
   };
 
-  /// Serving-grade stage 2: DiscriminateFast's exact control flow (same
-  /// RNG stream, same pruning certificates, same ties and coins) with the
-  /// per-candidate type lookup through label_index_, scratch-buffer reuse
-  /// instead of per-candidate allocation, bag-bound pre-DP pruning, and
-  /// no clock reads or spans.
-  void DiscriminateServe(const features::Fingerprint& full,
-                         IdentificationResult& result,
-                         ServeScratch& scratch) const;
+  /// Stage 2 for one probe whose matched_types is non-empty: the
+  /// edit-distance tie-break plus the open-set rejection gate. Sequential
+  /// over candidates and references (the pruning budget accumulates left
+  /// to right), so it is thread-pool independent.
+  void Discriminate(const features::Fingerprint& full,
+                    IdentificationResult& result) const;
 
   /// Reduces a finished result to a QualitySample and records it on the
   /// attached monitor (single branch when detached). Read-only: never
@@ -354,7 +314,7 @@ class DeviceIdentifier {
 
   IdentifierConfig config_;
   std::vector<PerType> types_;
-  ServeIndex serve_;
+  ReferenceIndex index_;
   std::vector<int> labels_;
   /// label -> index into types_, so discrimination resolves a candidate
   /// without a linear scan over the bank.
@@ -363,8 +323,6 @@ class DeviceIdentifier {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::QualityMonitor* quality_ = nullptr;
   IdentifierMetrics handles_;
-  bool fast_path_ = true;
-  bool bank_early_exit_ = false;
 };
 
 }  // namespace sentinel::core

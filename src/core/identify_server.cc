@@ -1,9 +1,9 @@
 #include "core/identify_server.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -25,19 +25,31 @@ constexpr std::size_t kMinIngestPackets = 4;
 
 /// Shortest-round-trip decimal form, deterministic for a given double —
 /// the serve and per-call renderers must produce identical bytes for
-/// identical verdicts.
+/// identical verdicts. The bytes are those of the first printf "%.*g"
+/// precision that round-trips: std::to_chars' shortest form gives that
+/// precision's lower bound (no shorter decimal round-trips), and the
+/// correctly rounded form at it almost always round-trips too — the
+/// loop only continues where a power-of-two boundary leaves the shortest
+/// decimal on the far side of the value.
 std::string FormatDouble(double value) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Prefer the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    double parsed = 0.0;
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value)
-      return candidate;
+  const char* const end = std::to_chars(buf, buf + sizeof(buf), value,
+                                        std::chars_format::scientific)
+                              .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
   }
-  return buf;
+  for (precision = std::max(precision, 1);; ++precision) {
+    const char* const general =
+        std::to_chars(buf, buf + sizeof(buf), value,
+                      std::chars_format::general, precision)
+            .ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, general, parsed);
+    if (parsed == value || precision == 17)
+      return {buf, static_cast<std::size_t>(general - buf)};
+  }
 }
 
 /// Validates one JSON number as an exact uint32 feature value.
@@ -254,20 +266,14 @@ void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
                                 AdaptiveBatchPolicy::FlushReason reason) {
   if (batch.empty()) return;
   const std::uint64_t serve_start = NowNs();
-  std::vector<IdentificationResult> results;
-  results.reserve(batch.size());
-  if (config_.batch.batch_target <= 1) {
-    // Per-call baseline mode: the exact code path `sentinelctl identify`
-    // takes, so the benchmark's comparison is honest.
-    for (const auto& probe : batch)
-      results.push_back(identifier_->Identify(probe.full, probe.fixed));
-  } else {
-    std::vector<DeviceIdentifier::FingerprintRef> refs;
-    refs.reserve(batch.size());
-    for (const auto& probe : batch)
-      refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
-    results = identifier_->IdentifyBatchServe(refs);
-  }
+  // Only verdicts are served, so the bank scan may stop each classifier
+  // as soon as its verdict is certain.
+  std::vector<DeviceIdentifier::FingerprintRef> refs;
+  refs.reserve(batch.size());
+  for (const auto& probe : batch)
+    refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
+  std::vector<IdentificationResult> results =
+      identifier_->IdentifyBatch(refs, Provenance::kCertifiedBounds);
   const std::uint64_t serve_end = NowNs();
 
   sentinel::MutexLock lock(mu_);
@@ -504,9 +510,8 @@ std::string IdentifyServer::RenderVerdictJson(
   out += "],\"tie_break_count\":";
   out += std::to_string(result.tie_break_count);
   out += ",\"dissimilarity\":";
-  // The winner's score, when discrimination ran (>1 matched type): the
-  // one dissimilarity the fast/serve/reference contract guarantees
-  // bit-identical.
+  // The winner's score, when discrimination ran: the one dissimilarity
+  // every Provenance and IdentifyReference agree on bit for bit.
   std::string winner_score = "null";
   if (result.type &&
       result.dissimilarity_scores.size() == result.matched_types.size()) {

@@ -2,7 +2,7 @@
 // routes (DESIGN.md "Serving path"). Probes arrive over HTTP — a parsed
 // fingerprint on POST /identify, raw setup-phase frames on POST /ingest —
 // and are admitted into a bounded MAC-keyed queue; a single drain thread
-// flushes the queue through DeviceIdentifier::IdentifyBatchServe under the
+// flushes the queue through DeviceIdentifier::IdentifyBatch under the
 // adaptive micro-batching policy (core/serve_batching.h) and wakes the
 // waiting connection handlers with their verdicts.
 //
@@ -12,7 +12,7 @@
 // — the new probe is rejected with 429 + Retry-After derived from the
 // observed service rate. Verdict-grade fields of every served response
 // are bit-identical to a per-call `sentinelctl identify` of the same
-// fingerprint (differentially tested; see IdentifyBatchServe's contract).
+// fingerprint (differentially tested; see core::Provenance).
 #pragma once
 
 #include <cstdint>
@@ -195,9 +195,9 @@ class IdentifyServer : public obs::PostRoutes {
       SENTINEL_REQUIRES(mu_);
 
   void DrainLoop();
-  /// Services one popped batch end to end: identify (batched kernel, or
-  /// the per-call path when batch_target == 1 — the honest baseline the
-  /// benchmark compares against), fill slots, wake waiters.
+  /// Services one popped batch end to end: identify (one kernel call
+  /// under Provenance::kCertifiedBounds, whatever the batch size), fill
+  /// slots, wake waiters.
   void ServeBatch(std::vector<QueuedProbe> batch,
                   AdaptiveBatchPolicy::FlushReason reason);
 

@@ -30,7 +30,7 @@ struct AdaptiveBatchConfig {
 };
 
 /// Decides when the drain thread flushes the queue into one
-/// IdentifyBatchServe call. Three rules, in order:
+/// DeviceIdentifier::IdentifyBatch call. Three rules, in order:
 ///   size     — the batch target is reached: flush now.
 ///   deadline — the oldest queued probe has waited latency_bound_ns:
 ///              flush now, full or not.

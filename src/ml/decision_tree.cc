@@ -305,7 +305,10 @@ DecisionTree DecisionTree::Load(net::ByteReader& r) {
     throw net::CodecError("decision tree: invalid class count " +
                           std::to_string(tree.class_count_));
   tree.depth_ = r.ReadU32();
+  // Per node: left, right, feature, threshold, proba offset, majority.
+  constexpr std::size_t kNodeBytes = 4 + 4 + 4 + 8 + 4 + 4;
   const std::uint32_t node_count = r.ReadU32();
+  r.CheckCount(node_count, kNodeBytes, "tree node");
   tree.nodes_.resize(node_count);
   for (Node& node : tree.nodes_) {
     node.left = static_cast<std::int32_t>(r.ReadU32());
@@ -316,6 +319,7 @@ DecisionTree DecisionTree::Load(net::ByteReader& r) {
     node.majority = static_cast<std::int32_t>(r.ReadU32());
   }
   const std::uint32_t proba_count = r.ReadU32();
+  r.CheckCount(proba_count, sizeof(double), "leaf probability");
   tree.leaf_probas_.resize(proba_count);
   for (double& p : tree.leaf_probas_) p = ReadDouble(r);
 

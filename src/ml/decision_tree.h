@@ -74,6 +74,9 @@ class DecisionTree {
   /// Restores a tree saved with Save(). Throws net::CodecError on
   /// malformed input.
   static DecisionTree Load(net::ByteReader& r);
+  /// Smallest Save() encoding: magic + version, class count, depth, and
+  /// empty node and leaf-probability tables.
+  static constexpr std::size_t kMinEncodedBytes = 3 + 4 + 4 + 4 + 4;
 
   /// Read-only structural access for arena compilation (FlatForest lays the
   /// node table and leaf probabilities out into its SoA arena).

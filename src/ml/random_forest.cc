@@ -186,6 +186,7 @@ RandomForest RandomForest::Load(net::ByteReader& r) {
     throw net::CodecError("random forest: invalid class count " +
                           std::to_string(forest.class_count_));
   const std::uint32_t tree_count = r.ReadU32();
+  r.CheckCount(tree_count, DecisionTree::kMinEncodedBytes, "decision-tree");
   forest.trees_.reserve(tree_count);
   for (std::uint32_t i = 0; i < tree_count; ++i) {
     DecisionTree tree = DecisionTree::Load(r);

@@ -79,6 +79,8 @@ class RandomForest {
   /// Service persists its per-type classifier bank this way.
   void Save(net::ByteWriter& w) const;
   static RandomForest Load(net::ByteReader& r);
+  /// Smallest Save() encoding: magic + version, class and tree counts.
+  static constexpr std::size_t kMinEncodedBytes = 3 + 4 + 4;
 
  private:
   std::vector<DecisionTree> trees_;

@@ -132,6 +132,17 @@ class ByteReader {
   [[nodiscard]] std::span<const std::uint8_t> rest() const {
     return data_.subspan(pos_);
   }
+  /// Throws CodecError unless `count` items of at least `min_item_bytes`
+  /// encoded bytes each still fit in the unread input. Call before sizing
+  /// a buffer from an untrusted count, so a hostile header cannot cost an
+  /// allocation the input could never fill.
+  void CheckCount(std::uint64_t count, std::size_t min_item_bytes,
+                  const char* what) const {
+    if (count > remaining() / min_item_bytes)
+      throw CodecError(std::string(what) + " count " + std::to_string(count) +
+                       " cannot fit in the " + std::to_string(remaining()) +
+                       " bytes left");
+  }
 
  private:
   void Require(std::size_t count) const {

@@ -77,18 +77,23 @@ const TimeSeriesStore::Series* TimeSeriesStore::Find(
 void TimeSeriesStore::Sample(std::int64_t now_ns) {
   const std::uint64_t s = head_.load(std::memory_order_relaxed);
   const std::size_t slot = static_cast<std::size_t>(s % config_.capacity);
+  // ordering: relaxed — the release stores of times/values below carry
+  // it: a reader that acquires any of them (sample s overwriting sample
+  // s - capacity) also sees writing_ >= s + 1, so Recent() can tell the
+  // old sample is gone.
+  writing_.store(s + 1, std::memory_order_relaxed);
 
   registry_->VisitInstruments(
       [&](const std::string& name, const Counter& counter) {
         Series& sr = Ensure(name, Kind::kCounter, 0, s);
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
         sr.values[slot].store(static_cast<double>(counter.Value()),
-                              std::memory_order_relaxed);
+                              std::memory_order_release);
       },
       [&](const std::string& name, const Gauge& gauge) {
         Series& sr = Ensure(name, Kind::kGauge, 0, s);
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
-        sr.values[slot].store(gauge.Value(), std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
+        sr.values[slot].store(gauge.Value(), std::memory_order_release);
       },
       [&](const std::string& name, const Histogram& histogram) {
         const Histogram::Snapshot snap = histogram.Read();
@@ -102,9 +107,9 @@ void TimeSeriesStore::Sample(std::int64_t now_ns) {
         }
         SENTINEL_CHECK(snap.buckets.size() == sr.bucket_count)
             << name << ": bucket count changed mid-run";
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
         sr.values[slot].store(static_cast<double>(snap.count),
-                              std::memory_order_relaxed);
+                              std::memory_order_release);
         sr.sums[slot].store(snap.sum, std::memory_order_relaxed);
         std::atomic<std::uint64_t>* row = &sr.buckets[slot * sr.bucket_count];
         for (std::size_t i = 0; i < sr.bucket_count; ++i)
@@ -145,8 +150,19 @@ std::vector<TimeSeriesStore::Point> TimeSeriesStore::Recent(
   out.reserve(static_cast<std::size_t>(hi - lo));
   for (std::uint64_t s = lo; s < hi; ++s) {
     const std::size_t slot = static_cast<std::size_t>(s % config_.capacity);
-    out.push_back({sr->times[slot].load(std::memory_order_relaxed),
-                   sr->values[slot].load(std::memory_order_relaxed)});
+    out.push_back({sr->times[slot].load(std::memory_order_acquire),
+                   sr->values[slot].load(std::memory_order_acquire)});
+  }
+  // Writing sample w - 1 overwrites sample w - 1 - capacity, so once
+  // writing_ (w) has been re-read only samples from w - capacity on are
+  // known intact.
+  // ordering: relaxed — ordered after the acquire slot loads above.
+  const std::uint64_t writing = writing_.load(std::memory_order_relaxed);
+  if (writing > config_.capacity) {
+    const std::uint64_t intact = writing - config_.capacity;
+    const std::size_t lapped = static_cast<std::size_t>(
+        std::min<std::uint64_t>(intact > lo ? intact - lo : 0, out.size()));
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(lapped));
   }
   return out;
 }

@@ -13,8 +13,9 @@
 // - Series are discovered on the fly: an instrument registered after the
 //   store started simply records the sample index at which it first
 //   appeared and reports a shorter window until it catches up.
-// - Slots are std::atomic with relaxed loads/stores (the head fence orders
-//   publication), so the sampler and scrapers never contend on a lock for
+// - Slots are std::atomic (the head fence orders publication; time and
+//   value slots are stored release / loaded acquire so a reader can detect
+//   being lapped), so the sampler and scrapers never contend on a lock for
 //   ring data; a short mutex guards only the name -> series map.
 //
 // Readers derive, over the last `window` samples of a series:
@@ -26,10 +27,13 @@
 //   bucket (+Inf observations clamp to the last finite bound);
 // - RenderJson(): all of the above for every series, for /timeseries.
 //
-// A torn read (sampler lapping a slow scraper) can mix values from two
-// consecutive samples of the same series; every such value is still a real
-// sampled value, which is the usual monitoring-plane contract. Tests that
-// need exact values simply do not race Sample() against reads.
+// A scraper the sampler laps would read slots already holding newer
+// samples; Recent() checks after copying how far the sampler has written
+// and drops every sample it may have overwritten meanwhile, so a window
+// holds only intact samples in order (a counter's window never goes
+// down). Across series a read can still mix consecutive samples, which is
+// the usual monitoring-plane contract. Tests that need exact values simply
+// do not race Sample() against reads.
 #pragma once
 
 #include <atomic>
@@ -130,9 +134,11 @@ class TimeSeriesStore {
     const Kind kind;
     /// Global sample index at which this series first appeared.
     const std::uint64_t first_sample;
-    // ordering: relaxed (times/values/buckets/sums) — single-writer ring
-    // slots; publication is ordered by the store's head_ release/acquire
-    // pair, not per-slot edges. See the file comment.
+    // ordering: relaxed (buckets/sums) — single-writer ring slots;
+    // publication is ordered by the store's head_ release/acquire pair,
+    // not per-slot edges. times/values are additionally stored release and
+    // loaded acquire by Recent(), which orders its writing_ check after
+    // them. See the file comment.
     std::unique_ptr<std::atomic<std::int64_t>[]> times;  // [capacity]
     std::unique_ptr<std::atomic<double>[]> values;       // [capacity]
 
@@ -169,6 +175,11 @@ class TimeSeriesStore {
   // the relaxed ring-slot writes of sample H visible to readers that
   // observed head > H. See the file comment.
   std::atomic<std::uint64_t> head_{0};
+  // ordering: relaxed (store and load) — ordered by the release stores /
+  // acquire loads of the times/values slots around it. One past the
+  // sample whose slots the sampler is writing or last wrote, so a reader
+  // can drop the samples a write lapped while it copied them.
+  std::atomic<std::uint64_t> writing_{0};
 
   // guards series_ (the map, not the rings)
   mutable Mutex mutex_{"obs.timeseries"};

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -96,6 +101,109 @@ TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
   EXPECT_EQ(stats.flush_size, 1u);
   EXPECT_EQ(stats.probes_served, 8u);
   EXPECT_EQ(stats.batch_size_counts.at(8), 1u);
+}
+
+TEST(IdentifyServer, BatchTargetOneServesThroughTheSameKernel) {
+  ManualServer m({.queue_depth = 64, .batch = {.batch_target = 1}});
+  const auto& probes = Probes();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    m.now_ns += 10'000;
+    const auto submission = m.server.SubmitProbe(
+        Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
+        probes.fixed[i]);
+    ASSERT_TRUE(submission.admitted);
+    EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
+    const auto outcome = m.server.WaitProbe(submission.ticket);
+    ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
+    const auto per_call =
+        SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]);
+    EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
+              IdentifyServer::RenderVerdictJson(per_call));
+    // Served batches of one still time their stages.
+    EXPECT_GT(outcome.result.classification_time.count(), 0);
+  }
+}
+
+/// The shortest-round-trip search the verdict renderer used before it
+/// switched to std::to_chars, kept as the byte-level oracle.
+std::string SearchShortestRoundTrip(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  for (int precision = 1; precision < 17; ++precision) {
+    char candidate[32];
+    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
+    double parsed = 0.0;
+    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value)
+      return candidate;
+  }
+  return buf;
+}
+
+/// The "dissimilarity" bytes RenderVerdictJson emits for a known verdict
+/// whose winning score is `value`.
+std::string RenderedScore(double value) {
+  IdentificationResult result;
+  result.type = 3;
+  result.matched_types = {3};
+  result.dissimilarity_scores = {value};
+  const std::string json = IdentifyServer::RenderVerdictJson(result);
+  const std::string key = "\"dissimilarity\":";
+  const auto at = json.find(key);
+  if (at == std::string::npos) return "<missing>";
+  return json.substr(at + key.size(), json.size() - at - key.size() - 1);
+}
+
+TEST(RenderVerdictJson, DissimilarityBytesMatchShortestRoundTripSearch) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                2.0,
+                                5.0,
+                                10.0,
+                                100.0,
+                                123456789.0,
+                                1e16,
+                                1e17,
+                                1e21,
+                                1e-4,
+                                9.9999e-5,
+                                1e-5,
+                                3.2e-7,
+                                1.5e-300,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                0.1,
+                                1.0 / 3.0,
+                                2.0 / 3.0};
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> score(0.0, 5.0);
+  std::uniform_int_distribution<int> tenths(0, 50);
+  for (int i = 0; i < 6000; ++i) values.push_back(score(rng));
+  // Sums of normalized distances with few distinct denominators: the
+  // values real tie-breaks produce.
+  for (int i = 0; i < 2000; ++i) {
+    double sum = 0.0;
+    for (int k = 0; k < 5; ++k) sum += tenths(rng) / 50.0;
+    values.push_back(sum);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  // Every winning dissimilarity a catalog probe pool produces.
+  const auto pool = devices::GenerateFingerprintDataset(3, 4242);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const auto result =
+        SharedIdentifier().Identify(pool.fingerprints[i], pool.fixed[i]);
+    for (const double s : result.dissimilarity_scores) values.push_back(s);
+  }
+  ASSERT_GE(values.size(), 10000u);
+  for (const double value : values)
+    ASSERT_EQ(RenderedScore(value), SearchShortestRoundTrip(value)) << value;
 }
 
 TEST(IdentifyServer, DeadlineFlushServesAPartialBatch) {

@@ -163,6 +163,93 @@ TEST(IdentifierSerialization, LoadedModelIdentifiesIdentically) {
   }
 }
 
+/// A valid `SID` v1 header whose type count claims 0xFFFFFFF0 device-types
+/// with no bytes behind it: 40 bytes that once sized a multi-terabyte
+/// reserve() straight from the file.
+std::vector<std::uint8_t> HostileTypeCountBundle() {
+  net::ByteWriter w;
+  w.WriteU8('S');
+  w.WriteU8('I');
+  w.WriteU8('D');
+  w.WriteU8(1);
+  w.WriteU32(10);                         // negative_ratio
+  w.WriteU32(5);                          // discrimination_references
+  w.WriteU64(350'000'000);                // acceptance_threshold * 1e9
+  w.WriteU64(780'000'000);                // rejection_distance * 1e9
+  w.WriteU64(17);                         // seed
+  w.WriteU32(0xFFFFFFF0u);                // type_count
+  return std::move(w).Take();
+}
+
+TEST(IdentifierSerialization, HostileTypeCountIsATypedError) {
+  const auto bytes = HostileTypeCountBundle();
+  ASSERT_EQ(bytes.size(), 40u);
+  net::ByteReader r(bytes);
+  EXPECT_THROW(core::DeviceIdentifier::Load(r), net::CodecError);
+
+  const auto path =
+      (std::filesystem::temp_directory_path() / "sentinel_hostile_model.bin")
+          .string();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  EXPECT_THROW(core::DeviceIdentifier::LoadFromFile(path), net::CodecError);
+  std::remove(path.c_str());
+}
+
+TEST(IdentifierSerialization, HostileReferenceCountIsATypedError) {
+  const auto dataset = devices::GenerateFingerprintDataset(2, 81);
+  std::vector<core::LabelledFingerprint> train;
+  for (std::size_t i = 0; i < dataset.size(); ++i)
+    train.push_back(core::LabelledFingerprint{
+        &dataset.fingerprints[i], &dataset.fixed[i], dataset.labels[i]});
+  core::DeviceIdentifier identifier;
+  identifier.Train(train);
+  net::ByteWriter w;
+  identifier.Save(w);
+  auto bytes = std::move(w).Take();
+  // The first type's reference count follows its label and forest; find
+  // it by re-reading the bundle's framing.
+  net::ByteReader scan(bytes);
+  scan.Skip(4 + 4 + 4 + 8 + 8 + 8 + 4 + 4);
+  (void)ml::RandomForest::Load(scan);
+  const std::size_t at = scan.position();
+  bytes.resize(at + 4);  // keep the count, drop every reference behind it
+  bytes[at] = 0xFF;
+  bytes[at + 1] = 0xFF;
+  bytes[at + 2] = 0xFF;
+  bytes[at + 3] = 0xF0;
+  net::ByteReader r(bytes);
+  EXPECT_THROW(core::DeviceIdentifier::Load(r), net::CodecError);
+}
+
+TEST(ForestSerialization, HostileTreeCountIsATypedError) {
+  net::ByteWriter w;
+  w.WriteU8('R');
+  w.WriteU8('F');
+  w.WriteU8(1);
+  w.WriteU32(2);            // class_count
+  w.WriteU32(0xFFFFFFFFu);  // tree_count
+  net::ByteReader r(w.bytes());
+  EXPECT_THROW(ml::RandomForest::Load(r), net::CodecError);
+}
+
+TEST(ForestSerialization, HostileNodeAndLeafCountsAreTypedErrors) {
+  for (const bool hostile_nodes : {true, false}) {
+    net::ByteWriter w;
+    w.WriteU8('D');
+    w.WriteU8('T');
+    w.WriteU8(1);
+    w.WriteU32(2);  // class_count
+    w.WriteU32(1);  // depth
+    w.WriteU32(hostile_nodes ? 0xFFFFFFFFu : 0u);  // node_count
+    w.WriteU32(0xFFFFFFFFu);                       // leaf probability count
+    net::ByteReader r(w.bytes());
+    EXPECT_THROW(ml::DecisionTree::Load(r), net::CodecError);
+  }
+}
+
 TEST(IdentifierSerialization, MissingFileThrows) {
   EXPECT_THROW(core::DeviceIdentifier::LoadFromFile("/no/such/model.bin"),
                std::runtime_error);

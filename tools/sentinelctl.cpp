@@ -749,8 +749,9 @@ int CmdServe(const Options& options) {
       RegisterGatewayMemory(memory, gateway, service);
 
   // The identification service proper: POST /identify and /ingest feed a
-  // MAC-keyed admission queue a drain thread serves through the batch
-  // fast path (see core/identify_server.h for the overload semantics).
+  // MAC-keyed admission queue a drain thread serves through the
+  // identification kernel (see core/identify_server.h for the overload
+  // semantics).
   core::IdentifyServer identify_server(
       &service.identifier(),
       {.queue_depth = options.queue_depth,
@@ -987,7 +988,7 @@ int Usage() {
       "      Retry-After when full) that a drain thread serves in\n"
       "      adaptive micro-batches (--batch-target probes or\n"
       "      --latency-bound-ms, whichever comes first) through the\n"
-      "      batch fast path. --serve-threads connection handlers give\n"
+      "      identification kernel. --serve-threads connection handlers give\n"
       "      keep-alive + pipelining; 0 falls back to one-at-a-time.\n"
       "  alerts [--seed S] [--json]\n"
       "      Run the firmware-drift scenario: one type's traffic shape\n"
