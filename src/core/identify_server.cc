@@ -52,6 +52,13 @@ std::string FormatDouble(double value) {
   }
 }
 
+std::uint64_t NowNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 /// Validates one JSON number as an exact uint32 feature value.
 bool ToFeature(const util::JsonValue& value, std::uint32_t& out) {
   if (!value.IsNumber()) return false;
@@ -68,18 +75,9 @@ IdentifyServer::IdentifyServer(const DeviceIdentifier* identifier,
                                IdentifyServerConfig config)
     : identifier_(identifier),
       config_(std::move(config)),
-      queue_(config_.queue_depth),
-      policy_(config_.batch) {}
+      queue_(config_.queue_depth) {}
 
 IdentifyServer::~IdentifyServer() { Stop(); }
-
-std::uint64_t IdentifyServer::NowNs() const {
-  if (config_.clock) return config_.clock();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void IdentifyServer::Start() {
   if (started_ || config_.manual_drain) return;
@@ -147,28 +145,29 @@ void IdentifyServer::set_metrics(obs::MetricsRegistry* registry) {
 }
 
 std::uint64_t IdentifyServer::RetryAfterMsLocked() const {
-  const double per_probe_ns = ewma_service_ns_ > 0.0
-                                  ? ewma_service_ns_
-                                  : static_cast<double>(
-                                        config_.batch.latency_bound_ns);
   const double backlog_ms =
-      static_cast<double>(queue_.depth()) * per_probe_ns / 1e6;
+      static_cast<double>(queue_.depth()) * ewma_service_ns_ / 1e6;
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(backlog_ms));
 }
 
 IdentifyServer::Submission IdentifyServer::SubmitProbe(
     const net::MacAddress& mac, features::Fingerprint full,
     features::FixedFingerprint fixed) {
-  const std::uint64_t now = NowNs();
+  QueuedProbe probe{.mac = mac,
+                    .full = std::move(full),
+                    .fixed = std::move(fixed),
+                    .enqueue_ns = NowNs()};
   sentinel::MutexLock lock(mu_);
+  const Submission submission = AdmitLocked(std::move(probe));
+  if (submission.admitted) work_cv_.NotifyOne();
+  return submission;
+}
+
+IdentifyServer::Submission IdentifyServer::AdmitLocked(QueuedProbe probe) {
   if (stopping_) return {.admitted = false, .retry_after_ms = 0};
-  policy_.OnArrival(now);
   const std::uint64_t ticket = ++next_ticket_;
-  auto admission = queue_.Push(QueuedProbe{.mac = mac,
-                                           .full = std::move(full),
-                                           .fixed = std::move(fixed),
-                                           .enqueue_ns = now,
-                                           .ticket = ticket});
+  probe.ticket = ticket;
+  auto admission = queue_.Push(std::move(probe));
   if (admission.action == AdmissionQueue::AdmitAction::kRejected) {
     ++stats_.rejected;
     if (metrics_.rejected) metrics_.rejected->Increment();
@@ -189,7 +188,6 @@ IdentifyServer::Submission IdentifyServer::SubmitProbe(
   if (metrics_.queue_depth)
     metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
   slots_.emplace(ticket, Slot{});
-  work_cv_.NotifyOne();
   return {.admitted = true, .ticket = ticket};
 }
 
@@ -212,59 +210,23 @@ IdentifyServer::ProbeOutcome IdentifyServer::WaitProbe(std::uint64_t ticket) {
 
 void IdentifyServer::DrainLoop() {
   for (;;) {
-    std::vector<QueuedProbe> batch;
-    AdaptiveBatchPolicy::FlushReason reason =
-        AdaptiveBatchPolicy::FlushReason::kNone;
     {
       sentinel::MutexLock lock(mu_);
       while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
       if (stopping_) return;
-      const auto decision = policy_.Evaluate(
-          queue_.depth(), queue_.oldest_enqueue_ns().value(), NowNs());
-      if (!decision.flush) {
-        // Sleep toward the deadline (or the predicted fill time); new
-        // admissions notify work_cv_, so a size flush is re-evaluated
-        // immediately rather than after the timeout.
-        work_cv_.WaitFor(
-            mu_, std::chrono::nanoseconds(decision.wait_ns),
-            [this]() SENTINEL_REQUIRES(mu_) {
-              return stopping_ ||
-                     queue_.depth() >= policy_.config().batch_target;
-            });
-        continue;
-      }
-      batch = queue_.PopBatch(policy_.config().batch_target);
-      reason = decision.reason;
-      if (metrics_.queue_depth)
-        metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
     }
-    ServeBatch(std::move(batch), reason);
+    DrainNow();
   }
 }
 
-std::size_t IdentifyServer::DrainNow(std::uint64_t now_ns) {
+std::size_t IdentifyServer::DrainNow() {
   std::vector<QueuedProbe> batch;
-  AdaptiveBatchPolicy::FlushReason reason =
-      AdaptiveBatchPolicy::FlushReason::kNone;
   {
     sentinel::MutexLock lock(mu_);
-    if (queue_.empty()) return 0;
-    const auto decision = policy_.Evaluate(
-        queue_.depth(), queue_.oldest_enqueue_ns().value(), now_ns);
-    if (!decision.flush) return 0;
-    batch = queue_.PopBatch(policy_.config().batch_target);
-    reason = decision.reason;
-    if (metrics_.queue_depth)
-      metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
+    batch = queue_.PopBatch(queue_.depth());
+    if (metrics_.queue_depth) metrics_.queue_depth->Set(0.0);
   }
-  const std::size_t served = batch.size();
-  ServeBatch(std::move(batch), reason);
-  return served;
-}
-
-void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
-                                AdaptiveBatchPolicy::FlushReason reason) {
-  if (batch.empty()) return;
+  if (batch.empty()) return 0;
   const std::uint64_t serve_start = NowNs();
   // Only verdicts are served, so the bank scan may stop each classifier
   // as soon as its verdict is certain.
@@ -285,16 +247,6 @@ void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
   ++stats_.batches;
   stats_.probes_served += batch.size();
   ++stats_.batch_size_counts[batch.size()];
-  switch (reason) {
-    case AdaptiveBatchPolicy::FlushReason::kSize: ++stats_.flush_size; break;
-    case AdaptiveBatchPolicy::FlushReason::kDeadline:
-      ++stats_.flush_deadline;
-      break;
-    case AdaptiveBatchPolicy::FlushReason::kSparse:
-      ++stats_.flush_sparse;
-      break;
-    case AdaptiveBatchPolicy::FlushReason::kNone: break;
-  }
   if (metrics_.batches) metrics_.batches->Increment();
   if (metrics_.probes) metrics_.probes->Increment(batch.size());
   if (metrics_.batch_size)
@@ -313,6 +265,7 @@ void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
           static_cast<double>(it->second.queue_wait_ns));
   }
   done_cv_.NotifyAll();
+  return batch.size();
 }
 
 // --- HTTP facade ---
@@ -391,16 +344,32 @@ IdentifyServer::PendingHttp IdentifyServer::ImmediateError(
   return ImmediateResponse(status, message);
 }
 
-void IdentifyServer::AdmitHttpProbe(const net::MacAddress& mac,
-                                    features::Fingerprint full,
-                                    PendingHttp& pending) {
-  auto fixed = features::FixedFingerprint::FromFingerprint(full);
-  auto submission = SubmitProbe(mac, std::move(full), std::move(fixed));
-  pending.probes.push_back(HttpProbe{.mac = mac.ToString(),
-                                     .admitted = submission.admitted,
-                                     .ticket = submission.ticket,
-                                     .retry_after_ms =
-                                         submission.retry_after_ms});
+void IdentifyServer::AdmitHttpProbes(
+    std::vector<std::pair<net::MacAddress, features::Fingerprint>> probes,
+    PendingHttp& pending) {
+  const std::uint64_t now = NowNs();
+  std::vector<QueuedProbe> queued;
+  queued.reserve(probes.size());
+  for (auto& [mac, full] : probes) {
+    auto fixed = features::FixedFingerprint::FromFingerprint(full);
+    queued.push_back(QueuedProbe{.mac = mac,
+                                 .full = std::move(full),
+                                 .fixed = std::move(fixed),
+                                 .enqueue_ns = now});
+  }
+  sentinel::MutexLock lock(mu_);
+  bool any_admitted = false;
+  for (auto& probe : queued) {
+    const std::string mac = probe.mac.ToString();
+    const Submission submission = AdmitLocked(std::move(probe));
+    any_admitted = any_admitted || submission.admitted;
+    pending.probes.push_back(HttpProbe{.mac = mac,
+                                       .admitted = submission.admitted,
+                                       .ticket = submission.ticket,
+                                       .retry_after_ms =
+                                           submission.retry_after_ms});
+  }
+  if (any_admitted) work_cv_.NotifyOne();
 }
 
 IdentifyServer::PendingHttp IdentifyServer::BuildIdentify(
@@ -460,7 +429,9 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIdentify(
 
   PendingHttp pending;
   pending.kind = PendingHttp::Kind::kIdentify;
-  AdmitHttpProbe(mac, std::move(full), pending);
+  std::vector<std::pair<net::MacAddress, features::Fingerprint>> probes;
+  probes.emplace_back(mac, std::move(full));
+  AdmitHttpProbes(std::move(probes), pending);
   return pending;
 }
 
@@ -481,6 +452,7 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIngest(
   pending.kind = PendingHttp::Kind::kIngest;
   pending.frames = trace->size();
   const auto by_device = capture::SplitBySourceMac(trace->Parse());
+  std::vector<std::pair<net::MacAddress, features::Fingerprint>> probes;
   for (const auto& [mac, packets] : by_device) {
     if (packets.size() < kMinIngestPackets) {
       ++pending.devices_skipped;
@@ -491,8 +463,9 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIngest(
       ++pending.devices_skipped;
       continue;
     }
-    AdmitHttpProbe(mac, std::move(full), pending);
+    probes.emplace_back(mac, std::move(full));
   }
+  AdmitHttpProbes(std::move(probes), pending);
   return pending;
 }
 

@@ -1,10 +1,12 @@
 // The always-on identification service behind `sentinelctl serve`'s POST
 // routes (DESIGN.md "Serving path"). Probes arrive over HTTP — a parsed
 // fingerprint on POST /identify, raw setup-phase frames on POST /ingest —
-// and are admitted into a bounded MAC-keyed queue; a single drain thread
-// flushes the queue through DeviceIdentifier::IdentifyBatch under the
-// adaptive micro-batching policy (core/serve_batching.h) and wakes the
-// waiting connection handlers with their verdicts.
+// and are admitted into a bounded MAC-keyed queue (core/serve_batching.h).
+// A single drain thread is work-conserving: whenever it is free it takes
+// everything queued and serves it as one DeviceIdentifier::IdentifyBatch
+// call, so batches form only while the previous batch is being served,
+// and a lone probe never waits for company. It then wakes the waiting
+// connection handlers with their verdicts.
 //
 // Overload is explicit, never silent: past the queue's capacity an older
 // probe of the same device is shed (the newest fingerprint per device
@@ -16,11 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/device_identifier.h"
@@ -37,14 +39,10 @@ namespace sentinel::core {
 struct IdentifyServerConfig {
   /// Admission queue capacity; probes past it shed or get 429.
   std::size_t queue_depth = 256;
-  AdaptiveBatchConfig batch;
   /// Tests: no drain thread is started; DrainNow() services the queue on
-  /// the caller's thread with an injected "now".
-  bool manual_drain = false;
-  /// Monotonic nanosecond clock; null uses std::chrono::steady_clock.
-  /// Injectable so batching/overload behaviour is testable without
+  /// the caller's thread, so batching and overload are testable without
   /// sleeping.
-  std::function<std::uint64_t()> clock;
+  bool manual_drain = false;
 };
 
 /// Lifetime counters of one server, readable at any time (stats()) and —
@@ -60,10 +58,6 @@ struct ServeStats {
   std::uint64_t parse_errors = 0;
   /// POSTs to a path no route claims (404).
   std::uint64_t unknown_routes = 0;
-  /// Batches by flush reason (the policy's size / deadline / sparse).
-  std::uint64_t flush_size = 0;
-  std::uint64_t flush_deadline = 0;
-  std::uint64_t flush_sparse = 0;
   /// Batch-size histogram: served batch size -> occurrences.
   std::map<std::size_t, std::uint64_t> batch_size_counts;
 };
@@ -144,10 +138,12 @@ class IdentifyServer : public obs::PostRoutes {
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] const IdentifyServerConfig& config() const { return config_; }
 
-  /// Manual-drain mode: evaluates the flush policy at `now_ns` and, when
-  /// it fires, services one batch on the calling thread. Returns the
-  /// number of probes served (0: no flush due yet or queue empty).
-  std::size_t DrainNow(std::uint64_t now_ns);
+  /// Serves everything queued as one batch on the calling thread: one
+  /// IdentifyBatch call under Provenance::kCertifiedBounds, whatever the
+  /// batch size, then fills the slots and wakes the waiters. The drain
+  /// thread's step; manual-drain tests call it directly. Returns the
+  /// number of probes served (0: queue empty).
+  std::size_t DrainNow();
 
   /// Renders the verdict-grade JSON object shared by every serving mode
   /// — `{"known":...,"type":...,"matched_types":[...],
@@ -187,19 +183,17 @@ class IdentifyServer : public obs::PostRoutes {
     std::size_t devices_skipped = 0;
   };
 
-  [[nodiscard]] std::uint64_t NowNs() const;
   /// Suggested Retry-After from current depth x observed per-probe
-  /// service time (falls back to the latency bound before any batch has
-  /// been measured).
+  /// service time, at least 1 ms (also before any batch has been
+  /// measured).
   [[nodiscard]] std::uint64_t RetryAfterMsLocked() const
       SENTINEL_REQUIRES(mu_);
+  /// Admits one probe (its ticket is assigned here). The caller holds
+  /// mu_ and wakes the drain once after its last admission, so every
+  /// probe of one request is queued before the drain can take any.
+  Submission AdmitLocked(QueuedProbe probe) SENTINEL_REQUIRES(mu_);
 
   void DrainLoop();
-  /// Services one popped batch end to end: identify (one kernel call
-  /// under Provenance::kCertifiedBounds, whatever the batch size), fill
-  /// slots, wake waiters.
-  void ServeBatch(std::vector<QueuedProbe> batch,
-                  AdaptiveBatchPolicy::FlushReason reason);
 
   PendingHttp BuildIdentify(const std::string& content_type,
                             const std::string& body);
@@ -210,9 +204,11 @@ class IdentifyServer : public obs::PostRoutes {
                                        const std::string& message);
   /// ImmediateResponse counted as a malformed body (400/415).
   PendingHttp ImmediateError(int status, const std::string& message);
-  /// Admits one parsed fingerprint and appends its HttpProbe record.
-  void AdmitHttpProbe(const net::MacAddress& mac, features::Fingerprint full,
-                      PendingHttp& pending);
+  /// Admits every parsed fingerprint of one request under one lock and
+  /// appends their HttpProbe records in order.
+  void AdmitHttpProbes(
+      std::vector<std::pair<net::MacAddress, features::Fingerprint>> probes,
+      PendingHttp& pending);
   [[nodiscard]] obs::PostResponse RenderIdentify(PendingHttp& pending);
   [[nodiscard]] obs::PostResponse RenderIngest(PendingHttp& pending);
   /// Renders one probe's outcome into `out` (shared by both renderers).
@@ -244,7 +240,6 @@ class IdentifyServer : public obs::PostRoutes {
   /// Waiter wake-ups: batch served or probe shed.
   sentinel::CondVar done_cv_;
   AdmissionQueue queue_ SENTINEL_GUARDED_BY(mu_);
-  AdaptiveBatchPolicy policy_ SENTINEL_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, Slot> slots_ SENTINEL_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, PendingHttp> pending_
       SENTINEL_GUARDED_BY(mu_);

@@ -27,7 +27,7 @@ namespace {
 /// Most pipelined requests served per read burst; bounds per-connection
 /// memory against a client that never reads responses.
 constexpr std::size_t kMaxPipeline = 64;
-/// Header-block cap (shared by both serving modes).
+/// Header-block cap.
 constexpr std::size_t kHeaderCap = 4096;
 
 const char* ReasonFor(int status) {
@@ -96,7 +96,10 @@ void DisableNagle(int connection_fd) {
 TelemetryServer::TelemetryServer(const MetricsRegistry* registry,
                                  const FlightRecorder* recorder,
                                  TelemetryServerConfig config)
-    : registry_(registry), recorder_(recorder), config_(config) {}
+    : registry_(registry), recorder_(recorder), config_(config) {
+  if (config_.serve_threads == 0)
+    throw std::invalid_argument("TelemetryServer: serve_threads must be >= 1");
+}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
@@ -142,25 +145,9 @@ void TelemetryServer::Serve(std::size_t max_requests) {
     if (stopping_.load(std::memory_order_acquire)) return;
     throw std::runtime_error("TelemetryServer::Serve before Start");
   }
-  if (config_.serve_threads == 0) {
-    std::size_t served = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      const int connection = ::accept(fd, nullptr, nullptr);
-      if (connection < 0) {
-        if (errno == EINTR) continue;
-        break;  // Stop() closed the listen socket
-      }
-      DisableNagle(connection);
-      ServeConnection(connection);
-      ::close(connection);
-      if (max_requests > 0 && ++served >= max_requests) break;
-    }
-    return;
-  }
-
-  // Pool mode: the accept loop feeds a bounded handoff the connection
-  // handlers drain. All queue state is local — the workers are joined
-  // before Serve returns, so nothing outlives this frame.
+  // The accept loop feeds a bounded handoff the connection handlers
+  // drain. All queue state is local — the workers are joined before
+  // Serve returns, so nothing outlives this frame.
   struct Handoff {
     sentinel::Mutex mu{"telemetry_server.handoff"};
     sentinel::CondVar cv;
@@ -342,11 +329,10 @@ void TelemetryServer::SendAll(int connection_fd, const std::string& response) {
   }
 }
 
-void TelemetryServer::RespondHeaderOverflow(int connection_fd,
-                                            const std::string& buffer) {
-  // Pre-parser behaviour, kept intact: answer from the (possibly
-  // truncated) request line alone — hostile or broken peers get a plain
-  // routing answer, not a hung connection.
+std::string TelemetryServer::HeaderOverflowResponse(
+    const std::string& buffer) const {
+  // Answer from the (possibly truncated) request line alone — hostile or
+  // broken peers get a plain routing answer, not a hung connection.
   const std::size_t line_end = buffer.find("\r\n");
   const std::string line =
       line_end == std::string::npos ? buffer : buffer.substr(0, line_end);
@@ -361,38 +347,7 @@ void TelemetryServer::RespondHeaderOverflow(int connection_fd,
                            ? std::string::npos
                            : second_space - first_space - 1);
   }
-  SendAll(connection_fd, HandleRequest(method, path));
-}
-
-void TelemetryServer::ServeConnection(int connection_fd) {
-  std::string buffer;
-  char chunk[2048];
-  HttpRequest request;
-  ParseStatus status = ParseStatus::kNeedMore;
-  for (;;) {
-    status = ParseOneRequest(buffer, request);
-    if (status != ParseStatus::kNeedMore) break;
-    const ssize_t n = ::recv(connection_fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  if (status == ParseStatus::kNeedMore ||
-      status == ParseStatus::kHeaderOverflow) {
-    RespondHeaderOverflow(connection_fd, buffer);
-    return;
-  }
-  std::string response;
-  if (status == ParseStatus::kBodyTooLarge) {
-    response = HttpResponse(
-        413, ReasonFor(413), "text/plain; charset=utf-8",
-        "body exceeds " + std::to_string(config_.max_body_bytes) +
-            " bytes\n");
-  } else {
-    response = HandleHttpRequest(request);
-  }
-  SendAll(connection_fd, response);
-  SENTINEL_LOG_DEBUG("telemetry", "request", {"path", request.path},
-                     {"bytes", response.size()});
+  return HandleRequest(method, path);
 }
 
 void TelemetryServer::ServeConnectionLoop(int connection_fd) {
@@ -489,8 +444,7 @@ void TelemetryServer::ServeConnectionLoop(int connection_fd) {
                           !close_connection, response.retry_after_ms);
     }
     if (status == ParseStatus::kHeaderOverflow) {
-      out += HttpResponse(400, ReasonFor(400), "text/plain; charset=utf-8",
-                          "header block too large\n");
+      out += HeaderOverflowResponse(buffer);
       close_connection = true;
     } else if (status == ParseStatus::kBodyTooLarge) {
       out += HttpResponse(

@@ -22,15 +22,13 @@
 // identity framing is implemented), a POST without Content-Length gets
 // 411, and an unsupported media type gets 415. Anything else is 404.
 //
-// Serving modes: by default one connection is served at a time (a scrape
-// is a few kilobytes; Prometheus polls every few seconds — concurrency
-// buys nothing and a single blocking loop cannot leak threads). With
-// config.serve_threads > 0, Serve() runs that many connection handlers
-// with HTTP/1.1 keep-alive and pipelining: each handler admits every
+// Serving: Serve() runs config.serve_threads connection handlers, and
+// every accepted connection gets HTTP/1.1 keep-alive and pipelining until
+// the peer sends "Connection: close" or closes. Each handler admits every
 // pipelined POST of a read burst into the backend before it waits on the
-// first verdict, which is what lets the identification drain thread form
-// real micro-batches. A handler owns its connection only while it is
-// live: idle keep-alive connections are closed after a configurable
+// first verdict, so one connection's burst reaches the identification
+// drain thread as one batch. A handler owns its connection only while it
+// is live: idle keep-alive connections are closed after a configurable
 // quiet interval, and connections accepted while every handler is busy
 // queue only up to max_queued_connections before the server pushes back
 // with 503 + Retry-After. Stop() from any thread unblocks Serve(). POSIX
@@ -61,15 +59,14 @@ struct TelemetryServerConfig {
   /// Largest accepted POST body; a request declaring (or growing) more is
   /// answered 413 and its body is never buffered.
   std::size_t max_body_bytes = 1 << 20;  // 1 MiB
-  /// Connection-handler threads for Serve(). 0 keeps the classic
-  /// one-connection-at-a-time loop; > 0 enables the keep-alive +
-  /// pipelining pool the identification service runs on.
-  std::size_t serve_threads = 0;
-  /// Pool mode: accepted connections waiting for a free handler beyond
-  /// this are answered 503 + Retry-After and closed instead of queueing
+  /// Connection-handler threads for Serve(); must be >= 1 (the
+  /// constructor throws std::invalid_argument otherwise).
+  std::size_t serve_threads = 1;
+  /// Accepted connections waiting for a free handler beyond this are
+  /// answered 503 + Retry-After and closed instead of queueing
   /// unboundedly behind pinned keep-alive handlers.
   std::size_t max_queued_connections = 64;
-  /// Pool mode: a keep-alive connection with no request activity for this
+  /// A keep-alive connection with no request activity for this
   /// many consecutive 200 ms recv quiet periods is closed, returning its
   /// handler to the pool (default ~30 s). 0 disables the idle timeout.
   std::size_t idle_timeout_periods = 150;
@@ -120,7 +117,8 @@ class TelemetryServer {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   /// Blocking accept loop; returns after Stop() (or, when
-  /// `max_requests` > 0, after accepting that many connections — tests).
+  /// `max_requests` > 0, once that many accepted connections have been
+  /// served and closed — tests).
   void Serve(std::size_t max_requests = 0);
 
   /// Thread-safe; unblocks a concurrent Serve().
@@ -154,7 +152,7 @@ class TelemetryServer {
   }
 
   /// One parsed request, ready for routing — the testable-without-sockets
-  /// form both socket paths reduce a connection's bytes to.
+  /// form the connection loop reduces a connection's bytes to.
   struct HttpRequest {
     std::string method;
     std::string path;
@@ -198,12 +196,11 @@ class TelemetryServer {
   [[nodiscard]] bool IsPostPath(const std::string& path) const;
   [[nodiscard]] bool AcceptsContentType(const std::string& media_type) const;
 
-  /// Classic mode: one request, one response, close.
-  void ServeConnection(int connection_fd);
-  /// Pool mode: keep-alive + pipelining until the peer closes.
+  /// Keep-alive + pipelining until the peer closes or asks to.
   void ServeConnectionLoop(int connection_fd);
   /// Best-effort answer for a connection whose header block blew the cap.
-  void RespondHeaderOverflow(int connection_fd, const std::string& buffer);
+  [[nodiscard]] std::string HeaderOverflowResponse(
+      const std::string& buffer) const;
   void SendAll(int connection_fd, const std::string& response);
 
   const MetricsRegistry* registry_;

@@ -1,9 +1,14 @@
-// IdentifyServer tests: batch formation under an injected clock, the
-// differential guarantee (served verdicts bit-identical to per-call
-// Identify, down to the rendered JSON bytes), explicit overload
-// semantics (reject-with-Retry-After and shed-oldest-per-MAC), and the
-// HTTP facade's parsing of all three probe formats.
+// IdentifyServer tests: work-conserving batch formation under a manual
+// drain, the differential guarantee (served verdicts bit-identical to
+// per-call Identify, down to the rendered JSON bytes), explicit overload
+// semantics (reject-with-Retry-After and shed-oldest-per-MAC), the HTTP
+// facade's parsing of all three probe formats, and the real drain thread
+// behind a keep-alive socket.
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <array>
 #include <cmath>
@@ -14,6 +19,8 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/identify_server.h"
@@ -21,11 +28,10 @@
 #include "features/fingerprint_codec.h"
 #include "net/pcap.h"
 #include "obs/metrics.h"
+#include "obs/telemetry_server.h"
 
 namespace sentinel::core {
 namespace {
-
-constexpr std::uint64_t kMs = 1'000'000;
 
 /// One identifier trained on a 6-type bank, shared across tests (training
 /// dominates test runtime; the server never mutates it).
@@ -56,36 +62,35 @@ net::MacAddress Mac(std::uint8_t last) {
   return net::MacAddress(std::array<std::uint8_t, 6>{0x02, 0, 0, 0, 0, last});
 }
 
-/// Manual-drain server with a test-owned clock.
+/// Manual-drain server: nothing is served until the test calls DrainNow().
 struct ManualServer {
-  std::uint64_t now_ns = 0;
   IdentifyServer server;
 
   explicit ManualServer(IdentifyServerConfig config = {})
-      : server(&SharedIdentifier(), [&config, this] {
+      : server(&SharedIdentifier(), [&config] {
           config.manual_drain = true;
-          config.clock = [this] { return now_ns; };
-          return std::move(config);
+          return config;
         }()) {}
 };
 
-TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
-  ManualServer m({.queue_depth = 64, .batch = {.batch_target = 8}});
+TEST(IdentifyServer, EverythingQueuedIsOneBatchAndVerdictsMatchPerCall) {
+  ManualServer m({.queue_depth = 64});
   const auto& probes = Probes();
+  ASSERT_GT(probes.size(), 8u);
   std::vector<std::uint64_t> tickets;
-  for (std::size_t i = 0; i < 8; ++i) {
-    m.now_ns += 10'000;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
     const auto submission = m.server.SubmitProbe(
         Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
         probes.fixed[i]);
     ASSERT_TRUE(submission.admitted);
     tickets.push_back(submission.ticket);
   }
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 8u);  // size flush, full batch
-  for (std::size_t i = 0; i < 8; ++i) {
+  EXPECT_EQ(m.server.DrainNow(), probes.size());
+  EXPECT_EQ(m.server.queue_depth(), 0u);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
     const auto outcome = m.server.WaitProbe(tickets[i]);
     ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-    EXPECT_EQ(outcome.batch_size, 8u);
+    EXPECT_EQ(outcome.batch_size, probes.size());
     const auto per_call =
         SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]);
     EXPECT_EQ(outcome.result.type, per_call.type);
@@ -98,23 +103,26 @@ TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
   }
   const auto stats = m.server.stats();
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.flush_size, 1u);
-  EXPECT_EQ(stats.probes_served, 8u);
-  EXPECT_EQ(stats.batch_size_counts.at(8), 1u);
+  EXPECT_EQ(stats.probes_served, probes.size());
+  EXPECT_EQ(stats.batch_size_counts.at(probes.size()), 1u);
+  // Nothing is left for a second drain.
+  EXPECT_EQ(m.server.DrainNow(), 0u);
 }
 
-TEST(IdentifyServer, BatchTargetOneServesThroughTheSameKernel) {
-  ManualServer m({.queue_depth = 64, .batch = {.batch_target = 1}});
+TEST(IdentifyServer, SingleQueuedProbeIsServedWithoutWaiting) {
+  ManualServer m({.queue_depth = 64});
   const auto& probes = Probes();
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    m.now_ns += 10'000;
     const auto submission = m.server.SubmitProbe(
         Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
         probes.fixed[i]);
     ASSERT_TRUE(submission.admitted);
-    EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
+    // A lone fresh probe is served at once: no size target to reach and
+    // no deadline to wait out.
+    EXPECT_EQ(m.server.DrainNow(), 1u);
     const auto outcome = m.server.WaitProbe(submission.ticket);
     ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
+    EXPECT_EQ(outcome.batch_size, 1u);
     const auto per_call =
         SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]);
     EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
@@ -206,28 +214,8 @@ TEST(RenderVerdictJson, DissimilarityBytesMatchShortestRoundTripSearch) {
     ASSERT_EQ(RenderedScore(value), SearchShortestRoundTrip(value)) << value;
 }
 
-TEST(IdentifyServer, DeadlineFlushServesAPartialBatch) {
-  ManualServer m({.queue_depth = 64,
-                  .batch = {.batch_target = 16, .latency_bound_ns = 2 * kMs}});
-  const auto& probes = Probes();
-  m.now_ns = 1000;
-  const auto submission =
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
-  ASSERT_TRUE(submission.admitted);
-  // Inside the latency bound: the drain holds out for more probes.
-  EXPECT_EQ(m.server.DrainNow(m.now_ns + kMs), 0u);
-  // Past the bound: the lone probe is served rather than waiting forever.
-  m.now_ns += 2 * kMs;
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
-  const auto outcome = m.server.WaitProbe(submission.ticket);
-  EXPECT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-  EXPECT_EQ(outcome.batch_size, 1u);
-  EXPECT_GE(outcome.queue_wait_ns, 2 * kMs);
-  EXPECT_EQ(m.server.stats().flush_deadline, 1u);
-}
-
 TEST(IdentifyServer, OverloadRejectsWithRetryAfter) {
-  ManualServer m({.queue_depth = 2, .batch = {.batch_target = 16}});
+  ManualServer m({.queue_depth = 2});
   const auto& probes = Probes();
   ASSERT_TRUE(
       m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0])
@@ -247,7 +235,7 @@ TEST(IdentifyServer, OverloadRejectsWithRetryAfter) {
 }
 
 TEST(IdentifyServer, OverloadShedsOldestProbeOfSameDevice) {
-  ManualServer m({.queue_depth = 2, .batch = {.batch_target = 2}});
+  ManualServer m({.queue_depth = 2});
   const auto& probes = Probes();
   const auto first =
       m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
@@ -261,14 +249,14 @@ TEST(IdentifyServer, OverloadShedsOldestProbeOfSameDevice) {
   ASSERT_TRUE(fresh.admitted);
   const auto shed_outcome = m.server.WaitProbe(first.ticket);
   EXPECT_EQ(shed_outcome.status, IdentifyServer::ProbeStatus::kShed);
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 2u);
+  EXPECT_EQ(m.server.DrainNow(), 2u);
   EXPECT_EQ(m.server.WaitProbe(fresh.ticket).status,
             IdentifyServer::ProbeStatus::kServed);
   EXPECT_EQ(m.server.stats().shed, 1u);
 }
 
 TEST(IdentifyServer, StopResolvesQueuedProbesAsShed) {
-  ManualServer m({.queue_depth = 8, .batch = {.batch_target = 8}});
+  ManualServer m({.queue_depth = 8});
   const auto& probes = Probes();
   const auto submission =
       m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
@@ -284,7 +272,7 @@ TEST(IdentifyServer, StopResolvesQueuedProbesAsShed) {
 
 TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
   obs::MetricsRegistry registry;
-  ManualServer m({.queue_depth = 8, .batch = {.batch_target = 2}});
+  ManualServer m({.queue_depth = 8});
   m.server.set_metrics(&registry);
   const auto& probes = Probes();
   ASSERT_TRUE(
@@ -293,7 +281,7 @@ TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
   ASSERT_TRUE(
       m.server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
           .admitted);
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 2u);
+  EXPECT_EQ(m.server.DrainNow(), 2u);
   const std::string exposition = registry.RenderPrometheus();
   EXPECT_NE(exposition.find("sentinel_serve_admitted_total 2"),
             std::string::npos);
@@ -331,10 +319,7 @@ std::string ProbeBinary(const features::Fingerprint& fingerprint,
 }
 
 TEST(IdentifyServerHttp, JsonAndBinaryProbesServeTheSameVerdictBytes) {
-  IdentifyServer server(
-      &SharedIdentifier(),
-      {.queue_depth = 64, .batch = {.batch_target = 4,
-                                    .latency_bound_ns = 1 * kMs}});
+  IdentifyServer server(&SharedIdentifier(), {.queue_depth = 64});
   server.Start();
   const auto& probes = Probes();
   const auto& fingerprint = probes.fingerprints[0];
@@ -359,10 +344,7 @@ TEST(IdentifyServerHttp, JsonAndBinaryProbesServeTheSameVerdictBytes) {
 }
 
 TEST(IdentifyServerHttp, IngestSplitsAPcapPerDevice) {
-  IdentifyServer server(
-      &SharedIdentifier(),
-      {.queue_depth = 64, .batch = {.batch_target = 4,
-                                    .latency_bound_ns = 1 * kMs}});
+  IdentifyServer server(&SharedIdentifier(), {.queue_depth = 64});
   server.Start();
   devices::DeviceSimulator simulator(7);
   const auto episode = simulator.RunSetupEpisode(0);
@@ -421,7 +403,7 @@ TEST(IdentifyServerHttp, MalformedBodiesAre400WithoutExceptions) {
 TEST(IdentifyServerHttp, FullQueueYields429WithRetryAfter) {
   // Manual drain: nothing is served, so the second distinct-MAC probe
   // deterministically finds the queue full.
-  ManualServer m({.queue_depth = 1, .batch = {.batch_target = 8}});
+  ManualServer m({.queue_depth = 1});
   const auto& probes = Probes();
   const auto first_id =
       m.server.Submit("/identify", "application/json",
@@ -434,9 +416,114 @@ TEST(IdentifyServerHttp, FullQueueYields429WithRetryAfter) {
   EXPECT_GE(rejected.retry_after_ms, 1u);
   EXPECT_NE(rejected.body.find("overloaded"), std::string::npos);
   // Serve the first probe so its Collect returns.
-  m.now_ns += 10 * kMs;
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
+  EXPECT_EQ(m.server.DrainNow(), 1u);
   EXPECT_EQ(m.server.Collect(first_id).status, 200);
+}
+
+TEST(IdentifyServerHttp, IngestAtDepthOneServesOneDeviceAndRejectsTheOther) {
+  // Every probe of one /ingest request is admitted before the drain
+  // thread can take any, so with one queue slot the outcome does not
+  // depend on how fast the drain runs: the first device is served, the
+  // second is pushed back. Repeated to give a racy admission a chance
+  // to show.
+  devices::DeviceSimulator simulator(7);
+  const auto episode = simulator.RunSetupEpisode(0);
+  const auto pcap = net::EncodePcap(episode.trace.frames());
+  const std::string body(reinterpret_cast<const char*>(pcap.data()),
+                         pcap.size());
+  IdentifyServer server(&SharedIdentifier(), {.queue_depth = 1});
+  server.Start();
+  for (int round = 0; round < 20; ++round) {
+    const auto response = server.Collect(
+        server.Submit("/ingest", "application/octet-stream", body));
+    ASSERT_EQ(response.status, 200);
+    const auto count = [&response](const std::string& needle) {
+      std::size_t n = 0;
+      for (auto at = response.body.find(needle); at != std::string::npos;
+           at = response.body.find(needle, at + 1))
+        ++n;
+      return n;
+    };
+    ASSERT_EQ(count("\"mac\":"), 2u) << response.body;
+    EXPECT_EQ(count("\"status\":\"served\""), 1u) << response.body;
+    EXPECT_EQ(count("\"status\":\"rejected\",\"retry_after_ms\":"), 1u)
+        << response.body;
+  }
+  EXPECT_EQ(server.stats().rejected, 20u);
+  server.Stop();
+}
+
+/// Reads one HTTP response (headers + Content-Length body) from `fd`;
+/// bytes past it stay in `pending` for the next call.
+std::string ReadResponse(int fd, std::string& pending) {
+  char buffer[4096];
+  for (;;) {
+    const auto header_end = pending.find("\r\n\r\n");
+    if (header_end != std::string::npos) {
+      const std::string key = "Content-Length: ";
+      const auto at = pending.find(key);
+      if (at != std::string::npos && at < header_end) {
+        const std::size_t total =
+            header_end + 4 + std::stoul(pending.substr(at + key.size()));
+        if (pending.size() >= total) {
+          std::string response = pending.substr(0, total);
+          pending.erase(0, total);
+          return response;
+        }
+      }
+    }
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) return std::exchange(pending, std::string());
+    pending.append(buffer, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(IdentifyServerHttp, KeepAliveSequentialProbesAreServedAsBatchesOfOne) {
+  IdentifyServer identify(&SharedIdentifier(), {.queue_depth = 64});
+  identify.Start();
+  obs::TelemetryServer http(nullptr, nullptr);
+  http.set_post_routes(&identify, {"/identify"}, {"application/octet-stream"});
+  http.Start();
+  std::thread serving([&] { http.Serve(/*max_requests=*/1); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(http.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto& probes = Probes();
+  std::string pending;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const std::size_t p = i % probes.size();
+    const std::string body = ProbeBinary(probes.fingerprints[p], Mac(1));
+    const std::string request =
+        "POST /identify HTTP/1.1\r\nHost: x\r\n"
+        "Content-Type: application/octet-stream\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body;
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    // A closed-loop client: the lone probe must be served at once, in a
+    // batch of one, on the same connection.
+    const std::string response = ReadResponse(fd, pending);
+    ASSERT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << i << ": " << response;
+    EXPECT_NE(response.find("Connection: keep-alive"), std::string::npos);
+    const auto per_call =
+        SharedIdentifier().Identify(probes.fingerprints[p], probes.fixed[p]);
+    const std::string expected = "\"verdict\":" +
+                                 IdentifyServer::RenderVerdictJson(per_call) +
+                                 ",\"batch_size\":1,";
+    EXPECT_NE(response.find(expected), std::string::npos)
+        << i << ": " << response;
+  }
+  ::close(fd);
+  serving.join();
+  http.Stop();
+  identify.Stop();
+  EXPECT_EQ(identify.stats().batches, 50u);
+  EXPECT_EQ(identify.stats().batch_size_counts.at(1), 50u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // per rejection class (405 unregistered path, 501 Transfer-Encoding,
 // 411 missing length, 413 oversized body, 415 wrong media type), plus
 // the dispatch contract with the two-phase PostRoutes backend: Retry-After
-// rendering, and — over a real socket in pooled mode — a pipelined burst
-// whose requests are all admitted before the first response is collected.
+// rendering, and — over a real socket — a pipelined burst whose requests
+// are all admitted before the first response is collected.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -158,7 +158,8 @@ TEST(HttpHardeningTest, RetryAfterHeaderRoundsUpToWholeSeconds) {
   EXPECT_NE(response.find("Retry-After: 3\r\n"), std::string::npos);
 }
 
-/// Sends one blob of raw bytes and reads until the server closes.
+/// Sends one blob of raw bytes and reads until the server closes, which
+/// it does after a request that asks for it or one it refuses to read.
 std::string RawRoundTrip(const TelemetryServer& server,
                          const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -192,7 +193,7 @@ std::string PipelinedPost(const std::string& body, bool close) {
 
 TEST(HttpHardeningTest, PipelinedPostsAdmitAsABurstAndRespondInOrder) {
   FakePostRoutes backend;
-  TelemetryServer server(nullptr, nullptr, {.serve_threads = 1});
+  TelemetryServer server(nullptr, nullptr);
   server.set_post_routes(&backend, {"/identify"}, {"application/json"});
   server.Start();
   std::thread serving([&] { server.Serve(/*max_requests=*/1); });
@@ -221,7 +222,7 @@ TEST(HttpHardeningTest, PipelinedPostsAdmitAsABurstAndRespondInOrder) {
 
 TEST(HttpHardeningTest, KeepAliveServesSequentialRequestsOnOneConnection) {
   FakePostRoutes backend;
-  TelemetryServer server(nullptr, nullptr, {.serve_threads = 1});
+  TelemetryServer server(nullptr, nullptr);
   server.set_post_routes(&backend, {"/identify"}, {"application/json"});
   server.Start();
   std::thread serving([&] { server.Serve(/*max_requests=*/1); });

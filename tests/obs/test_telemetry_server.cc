@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -227,7 +228,8 @@ TEST(TelemetryServerTest, LoopbackRoundTripOnEphemeralPort) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::string request = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string request =
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
   ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
   std::string response;
@@ -245,7 +247,8 @@ TEST(TelemetryServerTest, LoopbackRoundTripOnEphemeralPort) {
 }
 
 /// Sends one raw request to `server` (already Start()ed, Serve()ing one
-/// request on another thread) and returns the full response.
+/// connection on another thread) and returns everything it sends until it
+/// closes the connection — so the request must ask for the close.
 std::string RawRoundTrip(const TelemetryServer& server,
                          const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -275,7 +278,9 @@ TEST(TelemetryServerTest, PostOverSocketIs405) {
   server.Start();
   std::thread serving([&] { server.Serve(/*max_requests=*/1); });
   const std::string response =
-      RawRoundTrip(server, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+      RawRoundTrip(server,
+                   "POST /metrics HTTP/1.1\r\nHost: x\r\n"
+                   "Connection: close\r\n\r\n");
   serving.join();
   server.Stop();
   EXPECT_NE(response.find("HTTP/1.1 405"), std::string::npos);
@@ -297,6 +302,11 @@ TEST(TelemetryServerTest, OversizedRequestLineIsCutOffNotServed) {
   server.Stop();
   EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
   EXPECT_EQ(response.find("sentinel_secret_total"), std::string::npos);
+}
+
+TEST(TelemetryServerTest, ZeroServeThreadsIsRejected) {
+  EXPECT_THROW(TelemetryServer(nullptr, nullptr, {.serve_threads = 0}),
+               std::invalid_argument);
 }
 
 TEST(TelemetryServerTest, StopUnblocksServe) {

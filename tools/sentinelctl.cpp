@@ -25,8 +25,7 @@
 //       the collected metrics registry.
 //   sentinelctl serve [--listen PORT] [--episodes N] [--seed S]
 //                     [--rules FILE] [--sample-interval SEC]
-//                     [--queue-depth N] [--batch-target N]
-//                     [--latency-bound-ms MS] [--max-body-bytes N]
+//                     [--queue-depth N] [--max-body-bytes N]
 //                     [--serve-threads N]
 //       Exercise the gateway pipeline like `stats`, then serve live
 //       telemetry over HTTP: /healthz, /metrics (Prometheus text),
@@ -36,9 +35,10 @@
 //       and evaluates the alert rules every --sample-interval seconds.
 //       With this PR `serve` is also the always-on identification
 //       service: POST /identify (JSON or binary probe) and POST /ingest
-//       (raw pcap) enqueue into a MAC-keyed admission queue a drain
-//       thread serves in adaptive micro-batches through the batch fast
-//       path, with explicit 429 + Retry-After overload push-back.
+//       (raw pcap) enqueue into a MAC-keyed admission queue; whenever
+//       the drain thread is free it serves everything queued as one
+//       batch through the identification kernel, with explicit 429 +
+//       Retry-After overload push-back.
 //   sentinelctl alerts [--seed S] [--json]
 //       Run the firmware-drift scenario: one trained type's traffic
 //       shape gradually shifts while a control type stays clean; print
@@ -117,8 +117,6 @@ struct Options {
   std::size_t sample_interval = 1;
   // `serve` identification-service knobs (see core/identify_server.h).
   std::size_t queue_depth = 256;
-  std::size_t batch_target = 16;
-  std::uint64_t latency_bound_ms = 2;
   std::size_t max_body_bytes = 1 << 20;
   std::size_t serve_threads = 4;
 };
@@ -183,18 +181,12 @@ Options ParseOptions(int argc, char** argv, int first) {
       options.queue_depth = std::stoul(next_value());
       if (options.queue_depth == 0)
         throw std::runtime_error("--queue-depth: must be >= 1");
-    } else if (arg == "--batch-target") {
-      options.batch_target = std::stoul(next_value());
-      if (options.batch_target == 0)
-        throw std::runtime_error("--batch-target: must be >= 1");
-    } else if (arg == "--latency-bound-ms") {
-      options.latency_bound_ms = std::stoull(next_value());
-      if (options.latency_bound_ms == 0)
-        throw std::runtime_error("--latency-bound-ms: must be >= 1");
     } else if (arg == "--max-body-bytes") {
       options.max_body_bytes = std::stoul(next_value());
     } else if (arg == "--serve-threads") {
       options.serve_threads = std::stoul(next_value());
+      if (options.serve_threads == 0)
+        throw std::runtime_error("--serve-threads: must be >= 1");
     } else if (arg.rfind("--", 0) == 0) {
       throw std::runtime_error("unknown option " + arg);
     } else {
@@ -752,11 +744,8 @@ int CmdServe(const Options& options) {
   // MAC-keyed admission queue a drain thread serves through the
   // identification kernel (see core/identify_server.h for the overload
   // semantics).
-  core::IdentifyServer identify_server(
-      &service.identifier(),
-      {.queue_depth = options.queue_depth,
-       .batch = {.batch_target = options.batch_target,
-                 .latency_bound_ns = options.latency_bound_ms * 1'000'000}});
+  core::IdentifyServer identify_server(&service.identifier(),
+                                       {.queue_depth = options.queue_depth});
   identify_server.set_metrics(&registry);
   identify_server.Start();
 
@@ -802,13 +791,12 @@ int CmdServe(const Options& options) {
               "  /healthz  /metrics  /metrics.json  /timeseries  /quality\n"
               "  /alerts  /profile  /profile.collapsed  /locks  /memory\n"
               "  /devices  /devices/<mac>\n"
-              "identification service (batch target %zu, latency bound "
-              "%llu ms, queue %zu):\n"
+              "identification service (queue %zu, %zu connection "
+              "handlers):\n"
               "  POST /identify  (application/json | application/octet-stream)"
               "\n  POST /ingest    (pcap bytes)\n",
-              static_cast<unsigned>(server.port()), options.batch_target,
-              static_cast<unsigned long long>(options.latency_bound_ms),
-              options.queue_depth);
+              static_cast<unsigned>(server.port()), options.queue_depth,
+              options.serve_threads);
   std::fflush(stdout);
   server.Serve();  // blocks until the process is interrupted
   stop.store(true, std::memory_order_relaxed);
@@ -973,9 +961,8 @@ int Usage() {
       "      Exercise the full gateway pipeline on simulated episodes and\n"
       "      dump the collected metrics registry.\n"
       "  serve [--listen PORT] [--episodes N] [--seed S] [--rules FILE]\n"
-      "        [--sample-interval SEC] [--queue-depth N] [--batch-target N]\n"
-      "        [--latency-bound-ms MS] [--max-body-bytes N]\n"
-      "        [--serve-threads N]\n"
+      "        [--sample-interval SEC] [--queue-depth N]\n"
+      "        [--max-body-bytes N] [--serve-threads N]\n"
       "      Run the stats pipeline, then serve /healthz, /metrics,\n"
       "      /metrics.json, /timeseries, /quality, /alerts, /devices and\n"
       "      /devices/<mac> over HTTP on 127.0.0.1 (an ephemeral port is\n"
@@ -985,11 +972,10 @@ int Usage() {
       "      POST /identify takes one probe (JSON {\"mac\",\"packets\"} or\n"
       "      binary MAC+fingerprint) and POST /ingest takes raw pcap\n"
       "      bytes; both feed an admission queue (--queue-depth, 429 +\n"
-      "      Retry-After when full) that a drain thread serves in\n"
-      "      adaptive micro-batches (--batch-target probes or\n"
-      "      --latency-bound-ms, whichever comes first) through the\n"
-      "      identification kernel. --serve-threads connection handlers give\n"
-      "      keep-alive + pipelining; 0 falls back to one-at-a-time.\n"
+      "      Retry-After when full); whenever the drain thread is free it\n"
+      "      serves everything queued as one batch through the\n"
+      "      identification kernel. --serve-threads (>= 1, default 4)\n"
+      "      connection handlers give keep-alive + pipelining.\n"
       "  alerts [--seed S] [--json]\n"
       "      Run the firmware-drift scenario: one type's traffic shape\n"
       "      ramps away from its baseline while a control type stays\n"
